@@ -26,7 +26,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build")
 BINARY = os.path.join(BUILD, "perfbench")
-THREADS = "2"
 # Every run must end within 180 s; children get what is left of this.
 DEADLINE_S = 170.0
 
@@ -60,12 +59,11 @@ def build(target):
 
 def run_driver(args, started):
     """Runs the driver; returns (stdout lines, parsed result JSON)."""
-    env = dict(os.environ, BENCHTEMP_NUM_THREADS=THREADS)
     left = DEADLINE_S - (time.monotonic() - started)
     if left <= 0:
         fail("out of time before " + " ".join(args))
     try:
-        proc = subprocess.run([BINARY] + args, env=env, cwd=ROOT,
+        proc = subprocess.run([BINARY] + args, cwd=ROOT,
                               stdout=subprocess.PIPE, text=True,
                               timeout=left)
     except subprocess.TimeoutExpired:
@@ -99,9 +97,8 @@ def main():
 
     if opts.selftest:
         build("perfbench_selftest")
-        env = dict(os.environ, BENCHTEMP_NUM_THREADS=THREADS)
         sys.exit(subprocess.call([os.path.join(BUILD, "perfbench_selftest")],
-                                 env=env, cwd=ROOT))
+                                 cwd=ROOT))
     if not opts.workload:
         fail("--workload is required", 2)
     build("perfbench")

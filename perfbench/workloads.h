@@ -15,8 +15,11 @@
 
 namespace benchtemp::perfbench {
 
-/// Threads every workload runs with (BENCHTEMP_NUM_THREADS).
-inline constexpr int kThreads = 2;
+/// Threads every workload runs with (BENCHTEMP_NUM_THREADS). One: on a
+/// shared host a second busy thread is what draws hypervisor steal, and
+/// its barriers turn each stolen slice of either thread into a stall of
+/// both (README.md, "Load shape").
+inline constexpr int kThreads = 1;
 
 /// One workload: generator config, model, and training protocol.
 struct Workload {
@@ -30,7 +33,8 @@ struct Workload {
   core::SplitConfig split;
 };
 
-/// Names of every workload, in the order BENCHMARK.json lists them.
+/// Names of every workload the driver knows. BENCHMARK.json lists all but
+/// tgn-train, whose runs were too unsteady to gate on (README.md).
 const std::vector<std::string>& WorkloadNames();
 
 /// The workload `name` with its graph, training and split seeds derived
