@@ -157,14 +157,24 @@ BENCHMARK(BM_AttentionForward);
 
 // ---------------------------------------------------------------------------
 // Kernel-layer microbenchmarks (BM_Kernel*; `--kernels` runs only these and
-// emits BENCH_kernels.json). GEMM shapes are the actual model projections:
-// 172 = Reddit edge-feature concat width, 100 = node-feature width, 64 =
-// embedding/attention width, at the default batch of 200 rows.
+// emits BENCH_kernels.json). GEMM shapes are (n, k, m) triples from a
+// shape census of the models at hidden width 24: CAWN's walk-encoder
+// projection (1200 x 194 x 24), a d x d projection over the 6000 rows of a
+// k = 5 ranking pass, JODIE's feature projection over 200 x 100 ranking
+// candidates (20000 x 48 x 24), and the per-batch d x d projection.
 // ---------------------------------------------------------------------------
+
+void GemmCensusShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "k", "m"});
+  b->Args({1200, 194, 24});
+  b->Args({6000, 24, 24});
+  b->Args({20000, 48, 24});
+  b->Args({200, 24, 24});
+}
 
 void BM_KernelGemm(benchmark::State& state) {
   tensor::Rng rng(1);
-  const int64_t n = 200, k = state.range(0), m = 64;
+  const int64_t n = state.range(0), k = state.range(1), m = state.range(2);
   const tensor::Tensor a = tensor::Tensor::Randn({n, k}, rng);
   const tensor::Tensor b = tensor::Tensor::Randn({k, m}, rng);
   tensor::Tensor c({n, m});
@@ -175,12 +185,12 @@ void BM_KernelGemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * k * m);
 }
-BENCHMARK(BM_KernelGemm)->Arg(172)->Arg(100)->Arg(64);
+BENCHMARK(BM_KernelGemm)->Apply(GemmCensusShapes);
 
 void BM_KernelGemmBackward(benchmark::State& state) {
-  // Both MatMul backward kernels at the attention-projection shape.
+  // Both MatMul backward kernels at the same shapes.
   tensor::Rng rng(1);
-  const int64_t n = 200, k = state.range(0), m = 64;
+  const int64_t n = state.range(0), k = state.range(1), m = state.range(2);
   const tensor::Tensor a = tensor::Tensor::Randn({n, k}, rng);
   const tensor::Tensor b = tensor::Tensor::Randn({k, m}, rng);
   const tensor::Tensor dc = tensor::Tensor::Randn({n, m}, rng);
@@ -196,7 +206,7 @@ void BM_KernelGemmBackward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4 * n * k * m);
 }
-BENCHMARK(BM_KernelGemmBackward)->Arg(172)->Arg(100)->Arg(64);
+BENCHMARK(BM_KernelGemmBackward)->Apply(GemmCensusShapes);
 
 void BM_KernelSoftmaxRow(benchmark::State& state) {
   // The attention-score row shape: batch of 200 rows over k=8 keys, plus a

@@ -6,23 +6,25 @@
 // Compute-kernel layer of the tensor stack (see DESIGN.md "Kernel layer &
 // tensor arena"). Two families:
 //
-//   - GEMM entry points (Gemm / GemmNT / GemmTN): cache-blocked,
-//     register-tiled matrix kernels that parallelize internally over
-//     disjoint output row blocks using runtime::ParallelFor with the
-//     shared runtime::RowGrain chunk policy.
+//   - GEMM entry points (Gemm / GemmNT / GemmTN): one register-tiled
+//     microkernel written with GCC/clang vector extensions, built at
+//     AVX2 width, SSE2 width and as a scalar twin, with the ISA chosen
+//     once per process. They parallelize internally over disjoint output
+//     row blocks using runtime::ParallelFor with the shared
+//     runtime::RowGrain chunk policy.
 //   - Chunk-level elementwise/reduction primitives: serial over the span
 //     they are given; callers keep their own ParallelFor structure and
 //     invoke these on [lo, hi) sub-spans, so the chunking (and therefore
 //     the obs ParallelFor counters) is unchanged by the kernel layer.
 //
-// Every primitive has a vector path (plain fixed-width loops the compiler
-// autovectorizes; this translation unit is built with -O3
-// -ffp-contract=off) and a scalar fallback selected by BENCHTEMP_SIMD=0.
-// Both paths execute the identical fixed accumulation tree — reductions
-// stripe over simd.h's kLanes accumulators combined in a fixed pairwise
-// order, GEMM accumulates each output element in strictly increasing
-// inner-dimension order — so results are bit-identical across
-// BENCHTEMP_SIMD=0/1 and across thread counts.
+// Every primitive has a vector path and a scalar fallback selected by
+// BENCHTEMP_SIMD=0 (these translation units are built with -O3
+// -ffp-contract=off). Both paths execute the identical fixed accumulation
+// tree — reductions stripe over simd.h's kLanes accumulators combined in
+// a fixed pairwise order, GEMM accumulates each output element in
+// strictly increasing inner-dimension order — so results are
+// bit-identical across BENCHTEMP_SIMD=0/1, across ISA levels and across
+// thread counts.
 //
 // Raw pointers only: this layer is the hot path, and the btlint
 // `hot-loop-at` rule rejects bounds-checked `.at(` inside it.
@@ -39,7 +41,7 @@ void Gemm(const float* a, const float* b, float* c, int64_t n, int64_t k,
           int64_t m);
 
 /// dA[n,k] += dC[n,m] * B[k,m]^T — the MatMul backward pass for A. Each
-/// dA entry is a striped-lane dot of two contiguous rows.
+/// dA entry is Dot()'s striped-lane dot of a dC row and a B row.
 void GemmNT(const float* dc, const float* b, float* da, int64_t n, int64_t k,
             int64_t m);
 
@@ -47,6 +49,15 @@ void GemmNT(const float* dc, const float* b, float* da, int64_t n, int64_t k,
 /// Parallel over rows of dB; accumulates over samples i in fixed order.
 void GemmTN(const float* a, const float* dc, float* db, int64_t n, int64_t k,
             int64_t m);
+
+/// ISA level of the GEMM microkernel.
+enum class GemmPath { kScalar, kSse2, kAvx2, kAuto };
+
+/// Test hook: forces every GEMM entry point onto one ISA level (kAuto
+/// restores the default: the scalar twin under BENCHTEMP_SIMD=0, else the
+/// widest level the CPU supports). Returns false, changing nothing, when
+/// the CPU cannot run the requested level.
+bool SetGemmPathForTest(GemmPath path);
 
 // ---------------------------------------------------------------------------
 // Chunk-level reductions (fixed kLanes-striped accumulation tree).

@@ -6,14 +6,16 @@ namespace benchtemp::tensor::kernels {
 // Portable SIMD policy of the kernel layer (see DESIGN.md "Kernel layer &
 // tensor arena").
 //
-// There are no intrinsics anywhere: the vector path is plain C++ whose
-// inner loops are written so the compiler's autovectorizer can prove them
-// independent (fixed-width lane arrays, raw restrict-free pointers over
-// contiguous rows, no branches in the body). The scalar fallback —
-// selected with BENCHTEMP_SIMD=0 — executes the *same arithmetic in the
-// same order* one element at a time, and is annotated to resist
-// vectorization, so the knob isolates the vectorizer's contribution in
-// benchmarks while results stay bit-identical.
+// There are no intrinsics anywhere. The elementwise path is plain C++
+// whose inner loops are written so the compiler's autovectorizer can prove
+// them independent (fixed-width lane arrays, raw restrict-free pointers
+// over contiguous rows, no branches in the body). The GEMM microkernel
+// (gemm.cc) is written with GCC/clang vector extensions and picks its ISA
+// once per process. The scalar fallback — selected with BENCHTEMP_SIMD=0 —
+// executes the *same arithmetic in the same order* one element at a time,
+// and is annotated to resist vectorization, so the knob isolates the
+// vector path's contribution in benchmarks while results stay
+// bit-identical.
 //
 // Determinism across the two paths comes from a fixed accumulation tree:
 // every blocked reduction strides the input over kLanes independent

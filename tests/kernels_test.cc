@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -70,6 +71,7 @@ class KernelsTest : public ::testing::Test {
   }
   void TearDown() override {
     kernels::SetSimdEnabledForTest(-1);
+    kernels::SetGemmPathForTest(kernels::GemmPath::kAuto);
     kernels::SetArenaEnabledForTest(-1);
     tensor::expr::SetFusionEnabledForTest(-1);
     tensor::debug_check::SetEnabledForTest(false);
@@ -251,6 +253,99 @@ TEST_F(KernelsTest, GemmBitIdenticalAcrossThreadCounts) {
     per_thread_bits.push_back(BitsOf(c));
   }
   EXPECT_EQ(per_thread_bits[0], per_thread_bits[1]);
+}
+
+// ---------------------------------------------------------------------------
+// GEMM ISA paths: every path gives the scalar path's bits.
+// ---------------------------------------------------------------------------
+
+struct GemmShape {
+  int64_t n, k, m;
+};
+
+/// The census shapes the models run, then ragged ones: n % kMr != 0,
+/// k = 1, and widths that do not fill whole vectors or tiles.
+const GemmShape kGemmShapes[] = {
+    {1200, 194, 24}, {6000, 24, 24}, {20000, 48, 24}, {200, 24, 24},
+    {203, 37, 24},   {7, 1, 24},     {11, 29, 1},     {13, 29, 16},
+    {9, 45, 19},     {6, 3, 24},     {301, 70, 61},
+};
+
+/// Runs Gemm, GemmNT and GemmTN at one shape on the current path, each
+/// accumulating into a non-zero output, and returns the outputs' bits.
+std::vector<uint32_t> GemmFamilyBits(const GemmShape& s) {
+  const std::vector<float> a = RandomVec(s.n * s.k, 31);
+  const std::vector<float> b = RandomVec(s.k * s.m, 32);
+  const std::vector<float> dc = RandomVec(s.n * s.m, 33);
+  std::vector<float> c = RandomVec(s.n * s.m, 34);
+  std::vector<float> da = RandomVec(s.n * s.k, 35);
+  std::vector<float> db = RandomVec(s.k * s.m, 36);
+  kernels::Gemm(a.data(), b.data(), c.data(), s.n, s.k, s.m);
+  kernels::GemmNT(dc.data(), b.data(), da.data(), s.n, s.k, s.m);
+  kernels::GemmTN(a.data(), dc.data(), db.data(), s.n, s.k, s.m);
+  c.insert(c.end(), da.begin(), da.end());
+  c.insert(c.end(), db.begin(), db.end());
+  return BitsOf(c);
+}
+
+/// Signed-zero case: every product is -0 (Gemm: 0 * negative) or +0, and
+/// every output starts at -0. Gemm keeps -0 (-0 + -0); GemmNT's lanes
+/// start at +0, so its dot is +0 and dA becomes +0; GemmTN adds +0
+/// products, so dB becomes +0.
+std::vector<uint32_t> SignedZeroBits() {
+  const int64_t n = 9, k = 13, m = 19;
+  const std::vector<float> a(static_cast<size_t>(n * k), 0.0f);
+  const std::vector<float> b(static_cast<size_t>(k * m), -1.5f);
+  const std::vector<float> dc(static_cast<size_t>(n * m), 0.0f);
+  std::vector<float> c(static_cast<size_t>(n * m), -0.0f);
+  std::vector<float> da(static_cast<size_t>(n * k), -0.0f);
+  std::vector<float> db(static_cast<size_t>(k * m), -0.0f);
+  kernels::Gemm(a.data(), b.data(), c.data(), n, k, m);
+  kernels::GemmNT(dc.data(), b.data(), da.data(), n, k, m);
+  kernels::GemmTN(a.data(), dc.data(), db.data(), n, k, m);
+  for (float v : c) EXPECT_EQ(BitsOf(v), BitsOf(-0.0f));
+  for (float v : da) EXPECT_EQ(BitsOf(v), BitsOf(0.0f));
+  for (float v : db) EXPECT_EQ(BitsOf(v), BitsOf(0.0f));
+  c.insert(c.end(), da.begin(), da.end());
+  c.insert(c.end(), db.begin(), db.end());
+  return BitsOf(c);
+}
+
+/// Every shape on `path`, at 1 and 8 threads, against the scalar path at
+/// one thread.
+void ExpectGemmPathMatchesScalar(kernels::GemmPath path) {
+  std::vector<std::vector<uint32_t>> scalar_bits;
+  runtime::ThreadPool::Global().SetNumThreads(1);
+  ASSERT_TRUE(kernels::SetGemmPathForTest(kernels::GemmPath::kScalar));
+  for (const GemmShape& s : kGemmShapes) scalar_bits.push_back(GemmFamilyBits(s));
+  const std::vector<uint32_t> scalar_zero_bits = SignedZeroBits();
+
+  ASSERT_TRUE(kernels::SetGemmPathForTest(path));
+  for (const int threads : {1, 8}) {
+    runtime::ThreadPool::Global().SetNumThreads(threads);
+    for (size_t i = 0; i < std::size(kGemmShapes); ++i) {
+      const GemmShape& s = kGemmShapes[i];
+      EXPECT_EQ(GemmFamilyBits(s), scalar_bits[i])
+          << s.n << "x" << s.k << "x" << s.m << " at " << threads
+          << " threads";
+    }
+    EXPECT_EQ(SignedZeroBits(), scalar_zero_bits) << threads << " threads";
+  }
+}
+
+TEST_F(KernelsTest, GemmSse2PathBitIdenticalToScalar) {
+  ExpectGemmPathMatchesScalar(kernels::GemmPath::kSse2);
+}
+
+TEST_F(KernelsTest, GemmAvx2PathBitIdenticalToScalar) {
+  if (!kernels::SetGemmPathForTest(kernels::GemmPath::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  ExpectGemmPathMatchesScalar(kernels::GemmPath::kAvx2);
+}
+
+TEST_F(KernelsTest, GemmAutoPathBitIdenticalToScalar) {
+  ExpectGemmPathMatchesScalar(kernels::GemmPath::kAuto);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@
 // flip) with every injection point and corruption seed derived from
 // SplitMix64(seed, i), so a failing iteration replays exactly.
 //
-//   btchaos --bench <bench_table3_lp_auc> --btfsck <btfsck> \
-//           --workdir <dir> --iterations K --seed S \
+// Usage (one command line, wrapped):
+//   btchaos --bench <bench_table3_lp_auc> --btfsck <btfsck>
+//           --workdir <dir> --iterations K --seed S
 //           [--dataset UCI] [--model JODIE] [--epochs 5]
 //
 // Exit 0 only when every iteration resumed byte-identically, btfsck
