@@ -7,10 +7,12 @@
 // enough that near-perfect classifiers still separate.
 //
 // Each (dataset, model) cell also runs once with ranking off to price the
-// k-way candidate pass: the fused ScoreCandidates forward must keep the
-// ranked test pass within ~10% of the one-negative pass's positives/second
-// (the printed "eval ev/s ratio"; CI gates the absolute number through
-// tools/bench_compare --metric eval_events_per_second).
+// k-way candidate pass: one ScoreCandidates call per batch, which scores
+// the batch * k pairs in cache-sized row blocks (DESIGN.md "Ranking
+// evaluation"), must keep the ranked test pass within ~10% of the
+// one-negative pass's positives/second (the printed "eval ev/s ratio"; CI
+// gates the absolute number through tools/bench_compare --metric
+// eval_events_per_second).
 //
 // Knobs on top of the common grid (bench_common.h):
 //   BENCHTEMP_MRR_K         candidates per positive (default 20)

@@ -80,7 +80,7 @@ struct EvalPassConfig {
 
 /// Scores one evaluation pass over `events`: positives paired with keyed
 /// negatives (and, when ranking is on, k keyed candidates scored through
-/// one fused forward per batch); the model's state advances through the
+/// one ScoreCandidates call per batch); the model's state advances through the
 /// stream. Batch preparation runs through the same BatchPrefetcher as
 /// training, so prefetch depth changes scheduling, never results. Fills
 /// per-event positive/negative scores, and per-event ranks when `ranks` is
@@ -129,7 +129,7 @@ void ScorePass(TgnnModel* model, const TemporalGraph& graph,
     }
     if (cfg.candidates != nullptr && ranks != nullptr) {
       const int k = cfg.candidates->k();
-      // One fused forward over all batch * k candidate pairs.
+      // One call over all batch * k candidate pairs, scored in row blocks.
       Var cand = model->ScoreCandidates(batch.srcs, pb.candidates, batch.ts,
                                         k);
       row.resize(static_cast<size_t>(k));

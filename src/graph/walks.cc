@@ -87,14 +87,14 @@ std::vector<TemporalWalk> TemporalWalkSampler::SampleWalks(
 std::vector<std::vector<TemporalWalk>> TemporalWalkSampler::SampleWalkBatch(
     const NeighborFinder& finder, const std::vector<int32_t>& nodes,
     const std::vector<double>& ts, int64_t count, int64_t length,
-    uint64_t seed) const {
+    uint64_t seed, uint64_t stream_base) const {
   const int64_t n = static_cast<int64_t>(nodes.size());
   std::vector<std::vector<TemporalWalk>> out(static_cast<size_t>(n));
   // A few roots per chunk amortizes dispatch; chunking is still
   // thread-count independent so the walks stay reproducible.
   runtime::ParallelFor(0, n, /*grain=*/4, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      tensor::Rng rng(MixSeed(seed, static_cast<uint64_t>(i)));
+      tensor::Rng rng(MixSeed(seed, stream_base + static_cast<uint64_t>(i)));
       out[static_cast<size_t>(i)] =
           SampleWalks(finder, nodes[static_cast<size_t>(i)],
                       ts[static_cast<size_t>(i)], count, length, rng);

@@ -55,13 +55,15 @@ class TemporalWalkSampler {
 
   /// Batch API: `count` walks from each root (`nodes[i]`, `ts[i]`), sampled
   /// in parallel on the runtime thread pool. Root `i` draws from its own
-  /// RNG stream seeded by SplitMix64(seed, i), so the returned walks are
-  /// identical at any thread count (including 1) and fully determined by
-  /// `seed`.
+  /// RNG stream seeded by SplitMix64(seed, stream_base + i), so the returned
+  /// walks are identical at any thread count (including 1) and fully
+  /// determined by `seed` and each root's stream id. A caller that splits
+  /// one batch of roots into sub-ranges passes each range's first index as
+  /// `stream_base` and gets exactly the rows of the whole call.
   std::vector<std::vector<TemporalWalk>> SampleWalkBatch(
       const NeighborFinder& finder, const std::vector<int32_t>& nodes,
       const std::vector<double>& ts, int64_t count, int64_t length,
-      uint64_t seed) const;
+      uint64_t seed, uint64_t stream_base = 0) const;
 
   /// Exposed for testing: weight of stepping to a neighbor at time t' from
   /// time t (before normalization).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tensor/kernels/kernels.h"
+
 namespace benchtemp::models {
 
 using tensor::ConcatCols;
@@ -9,6 +11,7 @@ using tensor::ConcatRows;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
+namespace kernels = tensor::kernels;
 
 MemoryModel::MemoryModel(const graph::TemporalGraph* graph,
                          ModelConfig config)
@@ -104,41 +107,28 @@ Var MemoryModel::GatherMemory(const std::vector<int32_t>& nodes) const {
       }
     }
   }
-  if (!any_live) {
-    Tensor block({n, d});
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t c = 0; c < d; ++c) {
-        block.at(i, c) = memory_.at(nodes[static_cast<size_t>(i)], c);
-      }
+  // Memory rows of nodes[lo, hi) as one constant block.
+  auto copy_rows = [&](int64_t lo, int64_t hi) {
+    Tensor block({hi - lo, d});
+    for (int64_t i = lo; i < hi; ++i) {
+      kernels::Set(block.data() + (i - lo) * d,
+                   memory_.data() + nodes[static_cast<size_t>(i)] * d, d);
     }
     return Constant(std::move(block));
-  }
+  };
+  if (!any_live) return copy_rows(0, n);
   // Mixed path: stitch constant rows and live autograd rows. Consecutive
   // constant rows are grouped to keep the concat fan-in small.
   std::vector<Var> parts;
-  Tensor run({0, d});
-  std::vector<float> run_data;
-  int64_t run_rows = 0;
-  auto flush_run = [&]() {
-    if (run_rows == 0) return;
-    parts.push_back(Constant(
-        Tensor::FromVector({run_rows, d}, std::move(run_data))));
-    run_data = {};
-    run_rows = 0;
-  };
+  int64_t run_start = 0;
   for (int64_t i = 0; i < n; ++i) {
-    const int32_t node = nodes[static_cast<size_t>(i)];
-    auto it = live_rows_.find(node);
-    if (it != live_rows_.end()) {
-      flush_run();
-      parts.push_back(SliceRows(live_var_, it->second, 1));
-    } else {
-      for (int64_t c = 0; c < d; ++c)
-        run_data.push_back(memory_.at(node, c));
-      ++run_rows;
-    }
+    auto it = live_rows_.find(nodes[static_cast<size_t>(i)]);
+    if (it == live_rows_.end()) continue;
+    if (i > run_start) parts.push_back(copy_rows(run_start, i));
+    parts.push_back(SliceRows(live_var_, it->second, 1));
+    run_start = i + 1;
   }
-  flush_run();
+  if (n > run_start) parts.push_back(copy_rows(run_start, n));
   return parts.size() == 1 ? parts[0] : ConcatRows(parts);
 }
 
@@ -158,9 +148,8 @@ Var MemoryModel::EdgeFeatureBlock(
   const int64_t d = graph_->edge_feature_dim();
   Tensor block({static_cast<int64_t>(edge_idxs.size()), d});
   for (size_t i = 0; i < edge_idxs.size(); ++i) {
-    for (int64_t c = 0; c < d; ++c) {
-      block.at(static_cast<int64_t>(i), c) = features.at(edge_idxs[i], c);
-    }
+    kernels::Set(block.data() + static_cast<int64_t>(i) * d,
+                 features.data() + edge_idxs[i] * d, d);
   }
   return Constant(std::move(block));
 }

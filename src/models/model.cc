@@ -1,9 +1,32 @@
 #include "models/model.h"
 
+#include <algorithm>
+#include <atomic>
+
+#include "tensor/kernels/arena.h"
+#include "tensor/kernels/kernels.h"
+
 namespace benchtemp::models {
 
 using tensor::Tensor;
 using tensor::Var;
+namespace kernels = tensor::kernels;
+
+namespace {
+
+// btlint: allow(mutable-static) — atomic test hook, relaxed loads only.
+std::atomic<int64_t> g_block_rows_override{0};
+
+int64_t CandidateBlockRows() {
+  const int64_t forced = g_block_rows_override.load(std::memory_order_relaxed);
+  return forced > 0 ? forced : kCandidateBlockRows;
+}
+
+}  // namespace
+
+void SetCandidateBlockRowsForTest(int64_t rows) {
+  g_block_rows_override.store(rows, std::memory_order_relaxed);
+}
 
 TgnnModel::TgnnModel(const graph::TemporalGraph* graph, ModelConfig config)
     : graph_(graph), config_(config), rng_(config.seed) {
@@ -23,10 +46,8 @@ Var TgnnModel::NodeFeatureBlock(const std::vector<int32_t>& nodes) const {
   const int64_t d = features.shape()[1];
   Tensor block({static_cast<int64_t>(nodes.size()), d});
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const int64_t row = nodes[i];
-    for (int64_t c = 0; c < d; ++c) {
-      block.at(static_cast<int64_t>(i), c) = features.at(row, c);
-    }
+    kernels::Set(block.data() + static_cast<int64_t>(i) * d,
+                 features.data() + nodes[i] * d, d);
   }
   return tensor::Constant(std::move(block));
 }
@@ -41,6 +62,27 @@ Var TgnnModel::ScoreEdges(const std::vector<int32_t>& srcs,
   return predictor_->Forward(src_emb, dst_emb);
 }
 
+TgnnModel::CandidateScorer TgnnModel::MakeCandidateScorer(
+    const std::vector<int32_t>& srcs, const std::vector<double>& ts, int k) {
+  if (predictor_ == nullptr) {
+    // Pair-feature models: one flat ScoreEdges call over all pairs.
+    return {0, [this](const PairBlock& block) {
+              return ScoreEdges(block.srcs, block.dsts, block.ts);
+            }};
+  }
+  // MergeLayer models: the [n, d] source embedding is computed once, before
+  // the blocks; each block embeds its candidates, tiles the source rows
+  // against them with a row gather and runs the predictor.
+  Var src_emb = ComputeEmbeddings(srcs, ts);
+  return {1, [this, src_emb, k](const PairBlock& block) {
+            std::vector<int64_t> tile;
+            tile.reserve(block.dsts.size());
+            for (int64_t r = block.r0; r < block.r1; ++r) tile.push_back(r / k);
+            Var cand_emb = ComputeEmbeddings(block.dsts, block.ts);
+            return predictor_->Forward(GatherRows(src_emb, tile), cand_emb);
+          }};
+}
+
 Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
                                const std::vector<int32_t>& candidates,
                                const std::vector<double>& ts, int k) {
@@ -48,36 +90,34 @@ Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
   tensor::CheckOrDie(
       candidates.size() == srcs.size() * static_cast<size_t>(k),
       "ScoreCandidates: candidate row shape mismatch");
-  // Every candidate of row i is scored at the positive's timestamp ts[i].
-  std::vector<double> cand_ts(candidates.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    for (int j = 0; j < k; ++j) {
-      cand_ts[i * static_cast<size_t>(k) + static_cast<size_t>(j)] = ts[i];
+  const int64_t rows = static_cast<int64_t>(candidates.size());
+  Tensor logits({rows, 1});
+  CandidateScorer scorer = MakeCandidateScorer(srcs, ts, k);
+  const int64_t step =
+      scorer.rows_per_pair > 0
+          ? std::max<int64_t>(1, CandidateBlockRows() / scorer.rows_per_pair)
+          : rows;
+  PairBlock block;
+  for (int64_t r0 = 0; r0 < rows; r0 += step) {
+    block.r0 = r0;
+    block.r1 = std::min(rows, r0 + step);
+    block.srcs.clear();
+    block.dsts.clear();
+    block.ts.clear();
+    // Every candidate of row i is scored at the positive's timestamp ts[i].
+    for (int64_t r = block.r0; r < block.r1; ++r) {
+      block.srcs.push_back(srcs[static_cast<size_t>(r / k)]);
+      block.dsts.push_back(candidates[static_cast<size_t>(r)]);
+      block.ts.push_back(ts[static_cast<size_t>(r / k)]);
     }
+    // Declared first so the block's Vars die before its tape is rewound.
+    kernels::TapeScope tape_scope;
+    const Var part = scorer.score(block);
+    tensor::CheckOrDie(part->value.size() == block.r1 - r0,
+                       "ScoreCandidates: block logits shape mismatch");
+    kernels::Set(logits.data() + r0, part->value.data(), block.r1 - r0);
   }
-  if (predictor_ != nullptr) {
-    // Fused path: one [n, d] source embedding tiled to [n * k, d] via a
-    // row gather, one [n * k, d] candidate embedding, one MergeLayer
-    // forward over all n * k rows.
-    Var src_emb = ComputeEmbeddings(srcs, ts);
-    Var cand_emb = ComputeEmbeddings(candidates, cand_ts);
-    std::vector<int64_t> tile(candidates.size());
-    for (size_t i = 0; i < srcs.size(); ++i) {
-      for (int j = 0; j < k; ++j) {
-        tile[i * static_cast<size_t>(k) + static_cast<size_t>(j)] =
-            static_cast<int64_t>(i);
-      }
-    }
-    return predictor_->Forward(GatherRows(src_emb, tile), cand_emb);
-  }
-  // Pair-feature models: one flat ScoreEdges call over the n * k pairs.
-  std::vector<int32_t> src_rep(candidates.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    for (int j = 0; j < k; ++j) {
-      src_rep[i * static_cast<size_t>(k) + static_cast<size_t>(j)] = srcs[i];
-    }
-  }
-  return ScoreEdges(src_rep, candidates, cand_ts);
+  return tensor::Constant(std::move(logits));
 }
 
 void TgnnModel::UpdateState(const Batch& batch) { (void)batch; }

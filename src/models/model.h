@@ -1,6 +1,7 @@
 #ifndef BENCHTEMP_MODELS_MODEL_H_
 #define BENCHTEMP_MODELS_MODEL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,14 @@
 #include "tensor/random.h"
 
 namespace benchtemp::models {
+
+/// Rows of the tallest intermediate in one ScoreCandidates block: about
+/// 1,024 rows keeps a block's tape in L2. That is 1,024 candidate rows on
+/// the MergeLayer path and 1,024 / (2 * num_walks) pairs on the walk path.
+inline constexpr int64_t kCandidateBlockRows = 1024;
+
+/// Test hook: overrides kCandidateBlockRows; rows <= 0 restores it.
+void SetCandidateBlockRowsForTest(int64_t rows);
 
 /// Hyperparameters shared by the TGNN implementations. The defaults mirror
 /// the reference configurations at CPU scale (see DESIGN.md substitution 1).
@@ -105,13 +114,19 @@ class TgnnModel {
                                  const std::vector<int32_t>& dsts,
                                  const std::vector<double>& ts);
 
-  /// Scores the k-way ranking candidate sets of one batch through ONE fused
-  /// forward: `candidates` is row-major [srcs.size() * k], the result is
-  /// flat logits [srcs.size() * k, 1] in the same order. MergeLayer models
-  /// embed each source once and tile the [n, d] block against the
-  /// [n * k, d] candidate embeddings (the GEMM shape the kernel layer is
-  /// fast at); pair-feature models fall back to a single flat ScoreEdges
-  /// call over the n * k pairs — still one forward per batch.
+  /// Scores the k-way ranking candidate sets of one batch, forward only:
+  /// `candidates` is row-major [srcs.size() * k], the result is flat logits
+  /// [srcs.size() * k, 1] in the same order, returned as a Constant (no
+  /// parents, no gradient). The n * k pairs are scored in row blocks of
+  /// about kCandidateBlockRows rows of the tallest intermediate; each block
+  /// runs under its own TapeScope and copies its logits out, so no tape
+  /// outlives its block and a block's intermediates stay cache-resident.
+  /// MergeLayer models embed each source once per call and tile it against
+  /// each block's candidate embeddings; walk models draw one batch seed
+  /// per call and key every walk by its pair's global index. Both are
+  /// bit-identical to one full-height forward. Models whose draws or
+  /// features are not row-separable run the whole call as one block (see
+  /// MakeCandidateScorer).
   tensor::Var ScoreCandidates(const std::vector<int32_t>& srcs,
                               const std::vector<int32_t>& candidates,
                               const std::vector<double>& ts, int k);
@@ -182,6 +197,36 @@ class TgnnModel {
   }
 
  protected:
+  /// Pairs [r0, r1) of one ScoreCandidates call, flattened: entry i is
+  /// pair r = r0 + i, the (r % k)-th candidate of source row r / k, scored
+  /// at that row's timestamp.
+  struct PairBlock {
+    int64_t r0 = 0;
+    int64_t r1 = 0;
+    std::vector<int32_t> srcs;
+    std::vector<int32_t> dsts;
+    std::vector<double> ts;
+  };
+
+  /// Block scorer of one ScoreCandidates call. `score(block)` returns the
+  /// logits [r1 - r0, 1] of the block's pairs; ScoreCandidates calls it on
+  /// consecutive blocks in increasing order, each under its own TapeScope.
+  struct CandidateScorer {
+    /// Rows of the tallest intermediate per pair, which sizes the blocks;
+    /// 0 runs the whole call as one block.
+    int64_t rows_per_pair = 0;
+    std::function<tensor::Var(const PairBlock& block)> score;
+  };
+
+  /// Does the once-per-call work of ScoreCandidates for the n = srcs.size()
+  /// source rows and returns its block scorer. The default embeds the
+  /// sources once and scores MergeLayer models in blocks of candidate rows
+  /// (every op on that path is row-separable, and neighbour sampling draws
+  /// rng_ in row order); models without a predictor score all pairs
+  /// through one flat ScoreEdges call.
+  virtual CandidateScorer MakeCandidateScorer(
+      const std::vector<int32_t>& srcs, const std::vector<double>& ts, int k);
+
   /// Creates the MergeLayer edge scorer once the embedding width is known.
   void InitPredictor(int64_t dim_src, int64_t dim_dst, tensor::Rng& rng);
   /// Gathers a [n, d] block of rows from the graph's node feature matrix.

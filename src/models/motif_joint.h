@@ -33,6 +33,14 @@ class MotifJoint : public WalkModel {
   int64_t StateBytes() const override;
 
  protected:
+  /// One block: ScoreEdges joins N-cache features to the walk encoding, so
+  /// the candidate pairs go through one flat ScoreEdges call.
+  CandidateScorer MakeCandidateScorer(const std::vector<int32_t>& srcs,
+                                      const std::vector<double>& ts,
+                                      int k) override {
+    return TgnnModel::MakeCandidateScorer(srcs, ts, k);
+  }
+
   std::vector<tensor::Var> SubclassParameters() const override;
 
  private:

@@ -64,6 +64,17 @@ class Tgat : public TgnnModel {
       const Batch& batch, const std::vector<int32_t>& negatives,
       uint64_t seed) const override;
 
+ protected:
+  /// One block: EmbedLayer draws rng_ one layer at a time over all nodes of
+  /// a call, so splitting the candidates would reorder the draws.
+  CandidateScorer MakeCandidateScorer(const std::vector<int32_t>& srcs,
+                                      const std::vector<double>& ts,
+                                      int k) override {
+    CandidateScorer scorer = TgnnModel::MakeCandidateScorer(srcs, ts, k);
+    scorer.rows_per_pair = 0;
+    return scorer;
+  }
+
  private:
   /// Recursive layered embedding; layer 0 returns projected node features.
   tensor::Var EmbedLayer(const std::vector<int32_t>& nodes,

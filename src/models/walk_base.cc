@@ -123,26 +123,25 @@ void WalkModel::BuildPairGroups(
     const std::vector<int32_t>& srcs, const std::vector<int32_t>& dsts,
     const std::vector<double>& ts, uint64_t batch_seed,
     std::vector<std::vector<TemporalWalk>>* groups,
-    std::vector<CawAnonymizer>* anonymizers) const {
+    std::vector<CawAnonymizer>* anonymizers, int64_t pair_base,
+    int64_t num_pairs) const {
   tensor::CheckOrDie(finder_ != nullptr, "WalkModel: neighbor finder not set");
   const size_t n = srcs.size();
-  std::vector<int32_t> roots(srcs);
-  roots.insert(roots.end(), dsts.begin(), dsts.end());
-  std::vector<double> root_ts(ts);
-  root_ts.insert(root_ts.end(), ts.begin(), ts.end());
-  auto sampled =
-      sampler_->SampleWalkBatch(*finder_, roots, root_ts, config_.num_walks,
-                                config_.walk_length, batch_seed);
+  if (num_pairs < 0) num_pairs = static_cast<int64_t>(n);
+  auto walks_u = sampler_->SampleWalkBatch(
+      *finder_, srcs, ts, config_.num_walks, config_.walk_length, batch_seed,
+      static_cast<uint64_t>(pair_base));
+  auto walks_v = sampler_->SampleWalkBatch(
+      *finder_, dsts, ts, config_.num_walks, config_.walk_length, batch_seed,
+      static_cast<uint64_t>(num_pairs + pair_base));
   groups->clear();
   anonymizers->clear();
   groups->reserve(n);
   anonymizers->reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    std::vector<TemporalWalk>& walks_u = sampled[i];
-    std::vector<TemporalWalk>& walks_v = sampled[n + i];
-    anonymizers->emplace_back(walks_u, walks_v, config_.walk_length);
-    std::vector<TemporalWalk> group = std::move(walks_u);
-    for (auto& w : walks_v) group.push_back(std::move(w));
+    anonymizers->emplace_back(walks_u[i], walks_v[i], config_.walk_length);
+    std::vector<TemporalWalk> group = std::move(walks_u[i]);
+    for (auto& w : walks_v[i]) group.push_back(std::move(w));
     groups->push_back(std::move(group));
   }
 }
@@ -198,6 +197,26 @@ Var WalkModel::ScoreEdges(const std::vector<int32_t>& srcs,
                           const std::vector<int32_t>& dsts,
                           const std::vector<double>& ts) {
   return score_head_.Forward(EncodePairs(srcs, dsts, ts));
+}
+
+TgnnModel::CandidateScorer WalkModel::MakeCandidateScorer(
+    const std::vector<int32_t>& srcs, const std::vector<double>& ts, int k) {
+  (void)ts;
+  const int64_t num_pairs = static_cast<int64_t>(srcs.size()) * k;
+  const uint64_t batch_seed = rng_.engine()();
+  return {2 * config_.num_walks,
+          [this, num_pairs, batch_seed,
+           call_walk_bytes = int64_t{0}](const PairBlock& block) mutable {
+            std::vector<std::vector<TemporalWalk>> groups;
+            std::vector<CawAnonymizer> anonymizers;
+            BuildPairGroups(block.srcs, block.dsts, block.ts, batch_seed,
+                            &groups, &anonymizers, block.r0, num_pairs);
+            Var logits = score_head_.Forward(
+                EncodeWalkGroups(groups, anonymizers, block.ts));
+            call_walk_bytes += last_walk_bytes_;
+            last_walk_bytes_ = call_walk_bytes;
+            return logits;
+          }};
 }
 
 Var WalkModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,

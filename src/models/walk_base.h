@@ -81,13 +81,25 @@ class WalkModel : public TgnnModel {
 
   /// Samples the (src, dst) pair walk sets keyed by `batch_seed` and builds
   /// the per-pair merged groups + anonymizers. Pure w.r.t. the model (const,
-  /// no member RNG) — the shared workhorse of both the inline EncodePairs
-  /// path and PrepareBatch.
+  /// no member RNG) — the shared workhorse of the inline EncodePairs path,
+  /// PrepareBatch and blocked candidate scoring. The pairs are entries
+  /// [pair_base, pair_base + srcs.size()) of a call over `num_pairs` pairs
+  /// (-1: exactly these); pair p samples its source's walks on stream p and
+  /// its destination's on stream num_pairs + p, so a block of a call gets
+  /// exactly the walks the whole call would.
   void BuildPairGroups(
       const std::vector<int32_t>& srcs, const std::vector<int32_t>& dsts,
       const std::vector<double>& ts, uint64_t batch_seed,
       std::vector<std::vector<graph::TemporalWalk>>* groups,
-      std::vector<graph::CawAnonymizer>* anonymizers) const;
+      std::vector<graph::CawAnonymizer>* anonymizers, int64_t pair_base = 0,
+      int64_t num_pairs = -1) const;
+
+  /// Blocked candidate scoring: one batch seed per call, drawn from rng_
+  /// as EncodePairs does, and each block's walks keyed by their pairs'
+  /// global indices. Blocks hold about kCandidateBlockRows walk rows.
+  CandidateScorer MakeCandidateScorer(const std::vector<int32_t>& srcs,
+                                      const std::vector<double>& ts,
+                                      int k) override;
 
   std::unique_ptr<graph::TemporalWalkSampler> sampler_;
   tensor::TimeEncoder time_encoder_;
@@ -97,7 +109,8 @@ class WalkModel : public TgnnModel {
   tensor::Linear embed_head_;
   /// Mean inter-event gap of the graph; normalizes time deltas.
   double time_scale_ = 1.0;
-  /// Rough accounting of walk buffer bytes for the efficiency report.
+  /// Rough accounting of walk buffer bytes for the efficiency report: the
+  /// last scoring call's, summed over the blocks of a ScoreCandidates call.
   int64_t last_walk_bytes_ = 0;
 };
 

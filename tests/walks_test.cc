@@ -1,6 +1,8 @@
 #include "graph/walks.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +52,67 @@ TEST(WalkTest, SampleWalksCount) {
   tensor::Rng rng(3);
   const auto walks = sampler.SampleWalks(finder, 5, 10.0, 7, 3, rng);
   EXPECT_EQ(walks.size(), 7u);
+}
+
+TEST(WalkTest, BatchStreamBaseKeysRootsByGlobalIndex) {
+  // A dense little graph so roots have several earlier neighbours to pick.
+  TemporalGraph g;
+  for (int i = 0; i < 240; ++i) {
+    const int32_t u = (i * 5) % 12;
+    g.AddInteraction(u, (u + 1 + (i * 7) % 11) % 12,
+                     static_cast<double>(i + 1));
+  }
+  NeighborFinder finder(g);
+  TemporalWalkSampler sampler(WalkBias::kUniform);
+  std::vector<int32_t> nodes;
+  std::vector<double> ts;
+  for (int i = 0; i < 16; ++i) {
+    nodes.push_back((i * 3) % 12);
+    ts.push_back(200.0 + i);
+  }
+  const uint64_t seed = 99;
+  const auto full = sampler.SampleWalkBatch(finder, nodes, ts, 3, 3, seed);
+  // Sub-ranges sampled under stream_base = their first index are exactly
+  // those rows of the full call.
+  for (const auto& [a, b] : {std::pair{0, 16}, std::pair{0, 5},
+                             std::pair{5, 11}, std::pair{11, 16},
+                             std::pair{7, 8}}) {
+    const std::vector<int32_t> sub_nodes(nodes.begin() + a, nodes.begin() + b);
+    const std::vector<double> sub_ts(ts.begin() + a, ts.begin() + b);
+    const auto part = sampler.SampleWalkBatch(finder, sub_nodes, sub_ts, 3, 3,
+                                              seed, static_cast<uint64_t>(a));
+    ASSERT_EQ(part.size(), static_cast<size_t>(b - a));
+    for (int i = a; i < b; ++i) {
+      const auto& want = full[static_cast<size_t>(i)];
+      const auto& got = part[static_cast<size_t>(i - a)];
+      ASSERT_EQ(got.size(), want.size()) << "root " << i;
+      for (size_t w = 0; w < want.size(); ++w) {
+        ASSERT_EQ(got[w].size(), want[w].size()) << "root " << i;
+        for (size_t s = 0; s < want[w].size(); ++s) {
+          EXPECT_EQ(got[w][s].node, want[w][s].node);
+          EXPECT_EQ(got[w][s].ts, want[w][s].ts);
+          EXPECT_EQ(got[w][s].edge_idx, want[w][s].edge_idx);
+        }
+      }
+    }
+  }
+  // Without the base, a sub-range restarts at stream 0 and differs.
+  const std::vector<int32_t> tail_nodes(nodes.begin() + 8, nodes.end());
+  const std::vector<double> tail_ts(ts.begin() + 8, ts.end());
+  const auto unkeyed =
+      sampler.SampleWalkBatch(finder, tail_nodes, tail_ts, 3, 3, seed);
+  bool any_diff = false;
+  for (size_t i = 0; i < unkeyed.size(); ++i) {
+    for (size_t w = 0; w < unkeyed[i].size(); ++w) {
+      for (size_t s = 0; s < unkeyed[i][w].size(); ++s) {
+        if (s >= full[8 + i][w].size() ||
+            unkeyed[i][w][s].edge_idx != full[8 + i][w][s].edge_idx) {
+          any_diff = true;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(any_diff);
 }
 
 TEST(WalkTest, LinearSafeWeightsMatchPaperEq2) {
