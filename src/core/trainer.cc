@@ -4,10 +4,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
+#include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -47,13 +46,9 @@ using obs::NowSeconds;
 /// full node range otherwise.
 void DstRange(const TemporalGraph& graph, int32_t num_users, int32_t* lo,
               int32_t* hi) {
-  if (num_users > 0 && num_users < graph.num_nodes()) {
-    *lo = num_users;
-    *hi = graph.num_nodes();
-  } else {
-    *lo = 0;
-    *hi = graph.num_nodes();
-  }
+  const bool bipartite = num_users > 0 && num_users < graph.num_nodes();
+  *lo = bipartite ? num_users : 0;
+  *hi = graph.num_nodes();
 }
 
 /// Per-batch preparation seed: decorrelated lanes of (job seed, epoch,
@@ -83,8 +78,8 @@ struct EvalPassConfig {
 /// one ScoreCandidates call per batch); the model's state advances through the
 /// stream. Batch preparation runs through the same BatchPrefetcher as
 /// training, so prefetch depth changes scheduling, never results. Fills
-/// per-event positive/negative scores, and per-event ranks when `ranks` is
-/// non-null (indexed by position in `events`; 0 = not scored).
+/// per-event positive/negative scores, and per-event ranks when ranking is
+/// on (indexed by position in `events`; 0 = not scored).
 void ScorePass(TgnnModel* model, const TemporalGraph& graph,
                const std::vector<int64_t>& events, int batch_size,
                const EdgeSampler* sampler, const EvalPassConfig& cfg,
@@ -93,7 +88,7 @@ void ScorePass(TgnnModel* model, const TemporalGraph& graph,
                std::vector<double>* ranks) {
   pos_scores->assign(events.size(), 0.0);
   neg_scores->assign(events.size(), 0.0);
-  if (ranks != nullptr) ranks->assign(events.size(), 0.0);
+  if (cfg.candidates != nullptr) ranks->assign(events.size(), 0.0);
   const std::vector<Batch> batches = MakeBatches(graph, events, batch_size);
   auto prepare = [&](int64_t bi) {
     pipeline::PreparedBatch pb;
@@ -122,12 +117,10 @@ void ScorePass(TgnnModel* model, const TemporalGraph& graph,
     Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
     Var neg = model->ScoreEdges(batch.srcs, pb.negatives, batch.ts);
     for (int64_t i = 0; i < batch.size(); ++i) {
-      (*pos_scores)[cursor + static_cast<size_t>(i)] =
-          pos->value.at(i);
-      (*neg_scores)[cursor + static_cast<size_t>(i)] =
-          neg->value.at(i);
+      (*pos_scores)[cursor + static_cast<size_t>(i)] = pos->value.at(i);
+      (*neg_scores)[cursor + static_cast<size_t>(i)] = neg->value.at(i);
     }
-    if (cfg.candidates != nullptr && ranks != nullptr) {
+    if (cfg.candidates != nullptr) {
       const int k = cfg.candidates->k();
       // One call over all batch * k candidate pairs, scored in row blocks.
       Var cand = model->ScoreCandidates(batch.srcs, pb.candidates, batch.ts,
@@ -196,71 +189,374 @@ SettingMetrics SubsetMetrics(const std::vector<int64_t>& events,
   return metrics;
 }
 
-/// Replays `events` through the model (state updates only, no scoring).
-void ReplayState(TgnnModel* model, const TemporalGraph& graph,
-                 const std::vector<int64_t>& events, int batch_size) {
-  for (const Batch& batch : MakeBatches(graph, events, batch_size)) {
-    tensor::kernels::TapeScope tape_scope;
-    model->UpdateState(batch);
-  }
-}
-
 /// True when the job's watchdog (if any) has expired.
 bool Canceled(const TrainConfig& tc) {
   return tc.cancel_token != nullptr &&
          tc.cancel_token->load(std::memory_order_relaxed);
 }
 
-/// Injected batch stall, probed from the batch-*prepare* stage so the
-/// stall lands on the producer thread when the pipeline is on. The
-/// watchdog still trips either way: the consumer's Next() polls the cancel
-/// token while it waits for the stalled slot.
-void ProbeStallFault() {
-  auto& injector = base::FaultInjector::Global();
-  if (injector.Fire(base::FaultSite::kStallBatch)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(injector.stall_ms()));
-  }
-}
+/// The one epoch-and-batch training loop behind every task (DESIGN.md
+/// "Training loop"): link prediction trains through it, and node
+/// classification pre-trains through it before fitting its decoder. Each
+/// batch takes its keyed negatives and the model's sampling stage from the
+/// prefetcher, scores positives and negatives under one TapeScope, and
+/// takes an averaged-BCE Adam step behind three finite-value sentinels.
+/// The loop owns everything that makes an epoch boundary a deterministic
+/// cut point — parameters, Adam moments, both RNG streams, the learning
+/// rate, and the monitor / validation metrics / best-epoch parameters that
+/// the end-of-epoch hook keeps — and snapshots it for NaN rollback and for
+/// the on-disk checkpoint lineage. The hook is the only per-task code.
+class TrainingLoop {
+ public:
+  TrainingLoop(const TrainConfig& tc, TgnnModel* model,
+               std::vector<Batch> batches, int32_t dst_lo, int32_t dst_hi,
+               EarlyStopMonitor stop_monitor)
+      : monitor(stop_monitor),
+        tc_(tc),
+        model_(model),
+        batches_(std::move(batches)),
+        params_(model->Parameters()),
+        optimizer_(params_, tc.learning_rate),
+        sampler_(dst_lo, dst_hi, tc.seed + 1),
+        lineage_(tc.checkpoint_path, tc.checkpoint_generations),
+        checkpointing_(model->trainable() && !tc.checkpoint_path.empty()),
+        // An explicit TrainConfig depth wins over BENCHTEMP_PIPELINE.
+        depth_(tc.pipeline_depth >= 0 ? tc.pipeline_depth
+                                      : pipeline::DepthFromEnv()) {}
+  // Prefetch tasks hold `this` while Run() is on the stack.
+  TrainingLoop(const TrainingLoop&) = delete;
+  TrainingLoop& operator=(const TrainingLoop&) = delete;
 
-/// Injected forward-pass crash, probed on the consumer thread so the
-/// exception propagates to the sweep's job boundary (not into a pool
-/// worker).
-void ProbeThrowFault() {
-  auto& injector = base::FaultInjector::Global();
-  if (injector.Fire(base::FaultSite::kThrowForward)) {
-    throw std::runtime_error("injected fault: forward pass");
-  }
-}
-
-/// Accumulates one prefetcher's accounting into the job-wide fields.
-void AccumulatePipelineStats(const pipeline::PipelineStats& s,
-                             EfficiencyStats* eff) {
-  eff->pipeline_batches += s.batches;
-  eff->pipeline_prefetched += s.prefetched;
-  eff->pipeline_prepare_seconds += s.prepare_seconds;
-  eff->pipeline_wait_seconds += s.wait_seconds;
-}
-
-/// Finalizes the job-wide overlap ratio and publishes the pipeline gauges
-/// (gauges are last-write-wins and excluded from the counters digest, so
-/// sync and async runs stay digest-comparable).
-void FinishPipelineStats(int depth, EfficiencyStats* eff) {
-  eff->pipeline_depth = depth;
-  pipeline::PipelineStats total;
-  total.batches = eff->pipeline_batches;
-  total.prefetched = eff->pipeline_prefetched;
-  total.prepare_seconds = eff->pipeline_prepare_seconds;
-  total.wait_seconds = eff->pipeline_wait_seconds;
-  eff->pipeline_overlap_ratio =
-      depth > 0 && total.batches > 0 ? total.overlap_ratio() : 0.0;
-  if (obs::MetricRegistry::Enabled() && total.batches > 0) {
+  /// Trains until `max_epochs` epochs are kept (resumed ones included),
+  /// with `finder` as the neighbor index. `end_of_epoch` runs after every
+  /// kept epoch, before its snapshot, and returns true to stop. Returns the
+  /// job's annotation so far: "" when training ended normally, "*" when the
+  /// model reported a runtime error (in a batch or in the hook), "x"
+  /// (non-convergence) when the cancel token fired or the NaN-retry budget
+  /// ran out.
+  std::string Run(int max_epochs, const NeighborFinder* finder,
+                  const std::function<bool()>& end_of_epoch) {
+    int epoch = 0;
+    robustness::JobCheckpoint rollback = Snapshot(epoch);
+    // Resume: a matching on-disk checkpoint restarts the job exactly where
+    // it died. A corrupt newest generation silently falls back to an older
+    // one (counted in robustness.ckpt_fallbacks); a seed mismatch means a
+    // different job left these files behind, so start fresh.
+    robustness::JobCheckpoint ckpt;
+    if (checkpointing_ && lineage_.Load(&ckpt).ok && ckpt.seed == tc_.seed &&
+        Restore(ckpt)) {
+      epoch = ckpt.next_epoch;
+      epochs_run_ = ckpt.epochs_run;
+      nan_retries_ = ckpt.nan_retries;
+      total_epoch_seconds_ = ckpt.total_epoch_seconds;
+      retried_epoch_seconds_ = ckpt.retried_epoch_seconds;
+      rollback = Snapshot(epoch);
+      resumed_ = true;
+    }
     auto& registry = obs::MetricRegistry::Global();
-    registry.SetGauge("pipeline.depth", static_cast<double>(depth));
-    registry.SetGauge("pipeline.prefetch_wait_ms",
-                      total.wait_seconds * 1000.0);
-    registry.SetGauge("pipeline.overlap_ratio", eff->pipeline_overlap_ratio);
+    // A resumed monitor that has already stopped ended training before the
+    // job died: train no further.
+    while (epoch < max_epochs && !(resumed_ && monitor.stopped())) {
+      const double epoch_start = NowSeconds();
+      {
+        obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
+        model_->Reset();
+      }
+      model_->set_training(true);
+      model_->SetNeighborFinder(finder);
+      Step step = Step::kOk;
+      {
+        // Batch preparation — stall probe, keyed negatives, the model's
+        // sampling stage — is a pure function of (epoch, batch index), so
+        // it runs inline at depth 0 and ahead on pool workers otherwise
+        // with bit-identical results. Scoped so the prefetcher drains
+        // before the hook swaps the neighbor index (and so a NaN retry
+        // discards, never checkpoints, prefetched batches).
+        auto prepare = [this, epoch](int64_t bi) {
+          pipeline::PreparedBatch pb;
+          pb.index = bi;
+          // Injected batch stall, probed here so it lands on the producer
+          // thread when the pipeline is on; the consumer's Next() still
+          // polls the cancel token while it waits for the stalled slot.
+          auto& injector = base::FaultInjector::Global();
+          if (injector.Fire(base::FaultSite::kStallBatch)) {
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(injector.stall_ms()));
+          }
+          const Batch& batch = batches_[static_cast<size_t>(bi)];
+          const uint64_t seed = BatchSeed(tc_.seed, epoch, bi);
+          pb.negatives = sampler_.SampleNegativesKeyed(
+              tensor::SplitMix64(seed, 0), batch.srcs, batch.dsts);
+          pb.inputs = model_->PrepareBatch(batch, pb.negatives, seed);
+          return pb;
+        };
+        pipeline::BatchPrefetcher prefetcher(
+            static_cast<int64_t>(batches_.size()), depth_, prepare,
+            tc_.cancel_token);
+        for (size_t bi = 0; bi < batches_.size() && step == Step::kOk; ++bi) {
+          step = TrainBatch(&prefetcher);
+        }
+        const pipeline::PipelineStats& s = prefetcher.stats();
+        pipeline_.batches += s.batches;
+        pipeline_.prefetched += s.prefetched;
+        pipeline_.prepare_seconds += s.prepare_seconds;
+        pipeline_.wait_seconds += s.wait_seconds;
+      }
+      if (step == Step::kRuntimeError) return "*";
+      if (step == Step::kCanceled) return "x";
+      if (step == Step::kNanEvent) {
+        // Divergence recovery: roll back to the last epoch boundary, back
+        // off the learning rate, and retry — a recorded, recoverable event
+        // instead of a poisoned sweep.
+        ++nan_retries_;
+        retried_epoch_seconds_ += NowSeconds() - epoch_start;
+        registry.Add(obs::Counter::kNanRetries, 1);
+        registry.Add(obs::Counter::kRollbacks, 1);
+        const bool restored = Restore(rollback);
+        tensor::CheckOrDie(restored, "NaN rollback: corrupt epoch snapshot");
+        if (nan_retries_ > tc_.max_nan_retries) return "x";
+        optimizer_.set_learning_rate(optimizer_.learning_rate() *
+                                     tc_.lr_backoff);
+        continue;  // retry the same epoch
+      }
+      total_epoch_seconds_ += NowSeconds() - epoch_start;
+      ++epochs_run_;
+      const bool stop = end_of_epoch();
+      if (model_->status() == ModelStatus::kRuntimeError) return "*";
+      ++epoch;
+      {
+        obs::ScopedPhaseTimer timer(obs::Phase::kCheckpoint);
+        rollback = Snapshot(epoch);
+        int64_t bytes = 0;
+        if (checkpointing_ && lineage_.Save(rollback, &bytes)) {
+          checkpoint_bytes_ = bytes;
+        }
+      }
+      if (stop) break;
+      if (Canceled(tc_)) return "x";
+    }
+    return "";
   }
+
+  /// Bookkeeping of a job's terminal exit, however it ended: drains the
+  /// thread's phase slot into this run, fills the efficiency fields the
+  /// loop owns, and retires the checkpoint lineage (which outlives a job
+  /// only when the job dies mid-flight).
+  void Finish(EfficiencyStats* eff) {
+    auto& registry = obs::MetricRegistry::Global();
+    registry.DrainThisThread(&phases_);
+    eff->epochs_run = epochs_run_;
+    eff->best_epoch = monitor.best_epoch();
+    // Throughput over *kept* epochs only: wall-time of rolled-back epochs
+    // is reported separately so a retried run does not misstate its speed.
+    eff->seconds_per_epoch =
+        epochs_run_ > 0 ? total_epoch_seconds_ / epochs_run_ : 0.0;
+    eff->retried_epoch_seconds = retried_epoch_seconds_;
+    if (eff->seconds_per_epoch > 0.0) {
+      int64_t events = 0;
+      for (const Batch& batch : batches_) events += batch.size();
+      eff->train_events_per_second =
+          static_cast<double>(events) / eff->seconds_per_epoch;
+    }
+    eff->max_rss_gb = MaxRssGb();
+    eff->state_bytes = model_->StateBytes();
+    eff->parameter_bytes = model_->ParameterBytes();
+    eff->checkpoint_bytes = checkpoint_bytes_;
+    eff->phase_seconds = phases_.seconds;
+    eff->pipeline_depth = depth_;
+    eff->pipeline_batches = pipeline_.batches;
+    eff->pipeline_prefetched = pipeline_.prefetched;
+    eff->pipeline_prepare_seconds = pipeline_.prepare_seconds;
+    eff->pipeline_wait_seconds = pipeline_.wait_seconds;
+    eff->pipeline_overlap_ratio =
+        depth_ > 0 && pipeline_.batches > 0 ? pipeline_.overlap_ratio() : 0.0;
+    // Gauges are last-write-wins and excluded from the counters digest, so
+    // sync and async runs stay digest-comparable.
+    if (obs::MetricRegistry::Enabled() && pipeline_.batches > 0) {
+      registry.SetGauge("pipeline.depth", static_cast<double>(depth_));
+      registry.SetGauge("pipeline.prefetch_wait_ms",
+                        pipeline_.wait_seconds * 1000.0);
+      registry.SetGauge("pipeline.overlap_ratio",
+                        eff->pipeline_overlap_ratio);
+    }
+    if (retried_epoch_seconds_ > 0.0) {
+      registry.SetGauge("train.retried_epoch_seconds",
+                        retried_epoch_seconds_);
+    }
+    if (checkpointing_) (void)lineage_.Remove();
+  }
+
+  const std::vector<Var>& params() const { return params_; }
+  int pipeline_depth() const { return depth_; }
+  int nan_retries() const { return nan_retries_; }
+  bool resumed() const { return resumed_; }
+
+  // Kept by the end-of-epoch hook; part of every snapshot and checkpoint.
+  EarlyStopMonitor monitor;
+  SettingMetrics val;
+  std::string best_params;
+
+ private:
+  /// How one training batch ended.
+  enum class Step { kOk, kNanEvent, kRuntimeError, kCanceled };
+
+  Step TrainBatch(pipeline::BatchPrefetcher* prefetcher) {
+    // The tape scope is the first declaration, so the batch's Vars (pos/
+    // neg/loss graph) are destroyed before the arena rewinds their storage.
+    tensor::kernels::TapeScope tape_scope;
+    if (Canceled(tc_)) return Step::kCanceled;
+    pipeline::PreparedBatch pb;
+    {
+      obs::ScopedPhaseTimer timer(obs::Phase::kSample);
+      if (!prefetcher->Next(&pb)) return Step::kCanceled;
+    }
+    // Injected forward-pass crash, on the consumer thread so it reaches the
+    // sweep's job boundary rather than a pool worker.
+    if (base::FaultInjector::Global().Fire(base::FaultSite::kThrowForward)) {
+      throw std::runtime_error("injected fault: forward pass");
+    }
+    const Batch& batch = batches_[static_cast<size_t>(pb.index)];
+    Var pos, neg;
+    {
+      obs::ScopedPhaseTimer timer(obs::Phase::kForward);
+      model_->SetPreparedInputs(pb.inputs.get());
+      pos = model_->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+      neg = model_->ScoreEdges(batch.srcs, pb.negatives, batch.ts);
+      model_->SetPreparedInputs(nullptr);
+    }
+    if (model_->status() == ModelStatus::kRuntimeError) {
+      return Step::kRuntimeError;
+    }
+    if (model_->trainable()) {
+      bool finite = true;
+      Var loss;
+      {
+        obs::ScopedPhaseTimer timer(obs::Phase::kForward);
+        Tensor ones({pos->value.size()});
+        ones.Fill(1.0f);
+        Tensor zeros({neg->value.size()});
+        // Averaging the two BCE halves is a fused 2-op pass: one tape node
+        // instead of an eager Add node plus a ScalarMul node.
+        loss = expr::ScalarMul(
+            expr::Add(expr::Ex(BceWithLogits(pos, ones)),
+                      expr::Ex(BceWithLogits(neg, zeros))),
+            0.5f);
+        // NaN/Inf sentinel 1: a non-finite loss means this step would
+        // poison the parameters — bail out before touching them.
+        finite = tensor::AllFinite(loss->value);
+      }
+      if (base::FaultInjector::Global().Fire(base::FaultSite::kNanLoss)) {
+        finite = false;
+      }
+      if (!finite) return Step::kNanEvent;
+      obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
+      optimizer_.ZeroGrad();
+      Backward(loss);
+      // Sentinel 2: gradients can overflow even under a finite loss.
+      if (!tensor::GradsFinite(params_)) return Step::kNanEvent;
+      tensor::ClipGradNorm(params_, tc_.grad_clip_norm);
+      optimizer_.Step();
+      // Sentinel 3: the Adam update itself (tiny v̂, large m̂) can still
+      // push a parameter out of range.
+      if (!tensor::ParamsFinite(params_)) return Step::kNanEvent;
+    }
+    {
+      obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
+      model_->UpdateState(batch);
+    }
+    auto& registry = obs::MetricRegistry::Global();
+    registry.Add(obs::Counter::kTrainBatches, 1);
+    registry.Add(obs::Counter::kTrainEvents, batch.size());
+    return Step::kOk;
+  }
+
+  robustness::JobCheckpoint Snapshot(int next_epoch) const {
+    return {.next_epoch = next_epoch,
+            .epochs_run = epochs_run_,
+            .nan_retries = nan_retries_,
+            .learning_rate = optimizer_.learning_rate(),
+            .total_epoch_seconds = total_epoch_seconds_,
+            .retried_epoch_seconds = retried_epoch_seconds_,
+            .seed = tc_.seed,
+            .monitor = monitor.state(),
+            .val_auc = val.auc,
+            .val_ap = val.ap,
+            .val_count = val.count,
+            .model_rng = model_->SaveRngState(),
+            .sampler_rng = sampler_.SaveRngState(),
+            .params = tensor::SnapshotParameters(params_),
+            .adam = optimizer_.SnapshotState(),
+            .best_params = best_params};
+  }
+
+  bool Restore(const robustness::JobCheckpoint& s) {
+    if (!tensor::RestoreParameters(s.params, params_)) return false;
+    if (!optimizer_.RestoreState(s.adam)) return false;
+    // Grad-buffer allocation is trajectory state: Adam skips parameters
+    // whose lazily allocated grad buffer is still empty, but applies
+    // momentum decay to ones that were touched in an earlier epoch and
+    // merely zeroed since. Pre-allocating every buffer makes a restored
+    // process bit-identical to the uninterrupted one (a zero grad with zero
+    // moments is an exact no-op).
+    for (const Var& p : params_) p->EnsureGrad();
+    if (!model_->LoadRngState(s.model_rng)) return false;
+    if (!sampler_.LoadRngState(s.sampler_rng)) return false;
+    optimizer_.set_learning_rate(s.learning_rate);
+    monitor.Restore(s.monitor);
+    val = {s.val_auc, s.val_ap, s.val_count};
+    best_params = s.best_params;
+    return true;
+  }
+
+  const TrainConfig& tc_;
+  TgnnModel* model_;
+  const std::vector<Batch> batches_;
+  const std::vector<Var> params_;
+  tensor::Adam optimizer_;
+  RandomEdgeSampler sampler_;
+  robustness::CheckpointLineage lineage_;
+  const bool checkpointing_;
+  const int depth_;
+  int epochs_run_ = 0;
+  int nan_retries_ = 0;
+  double total_epoch_seconds_ = 0.0;
+  double retried_epoch_seconds_ = 0.0;
+  int64_t checkpoint_bytes_ = 0;
+  bool resumed_ = false;
+  pipeline::PipelineStats pipeline_;
+  // Per-run phase attribution: drained from this thread's slot only, so a
+  // concurrent job on another thread never bleeds in.
+  obs::PhaseTotals phases_;
+};
+
+/// Predicted class of each row of decoder logits: the first maximum over
+/// the classes, or logit > 0 for a one-logit binary head.
+std::vector<int> PredictedClasses(const Tensor& logits) {
+  const int64_t cols = logits.cols();
+  std::vector<int> pred(static_cast<size_t>(logits.rows()));
+  for (int64_t i = 0; i < logits.rows(); ++i) {
+    const float* row = &logits.data()[i * cols];
+    int best = cols == 1 && row[0] > 0.0f ? 1 : 0;
+    for (int64_t c = 1; c < cols; ++c) {
+      if (row[c] > row[best]) best = static_cast<int>(c);
+    }
+    pred[static_cast<size_t>(i)] = best;
+  }
+  return pred;
+}
+
+/// AUC of the positive class (label 1) from decoder logits: the binary
+/// head's one logit, or the one-vs-rest logit of class 1.
+double PositiveClassAuc(const Tensor& logits, const std::vector<int64_t>& y) {
+  const int64_t cols = logits.cols();
+  std::vector<double> scores;
+  std::vector<int> labels;
+  for (size_t i = 0; i < y.size(); ++i) {
+    scores.push_back(
+        logits.at(static_cast<int64_t>(i) * cols + (cols == 1 ? 0 : 1)));
+    labels.push_back(y[i] == 1 ? 1 : 0);
+  }
+  return RocAuc(scores, labels);
 }
 
 }  // namespace
@@ -304,7 +600,6 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
 
   int32_t dst_lo = 0, dst_hi = 0;
   DstRange(graph, job.num_users, &dst_lo, &dst_hi);
-  RandomEdgeSampler train_sampler(dst_lo, dst_hi, tc.seed + 1);
   auto val_sampler =
       MakeEdgeSampler(tc.negative_sampling, graph, split.train_events, dst_lo,
                       dst_hi, tc.seed + 2);
@@ -330,340 +625,67 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
   model_config.seed = tc.seed + 17;
   auto model =
       models::CreateModel(job.kind, &graph, model_config, job.num_users);
-  tensor::Adam optimizer(model->Parameters(), tc.learning_rate);
+  TrainingLoop loop(tc, model.get(),
+                    MakeBatches(graph, split.train_events, tc.batch_size),
+                    dst_lo, dst_hi,
+                    EarlyStopMonitor(tc.patience, tc.tolerance));
+  EvalPassConfig eval_cfg;
+  eval_cfg.pipeline_depth = loop.pipeline_depth();
+  eval_cfg.cancel = tc.cancel_token;
+  eval_cfg.candidates = candidate_sampler.get();
+  eval_cfg.tie_policy = tc.mrr_tie_policy;
 
-  const std::vector<Batch> train_batches =
-      MakeBatches(graph, split.train_events, tc.batch_size);
-  EarlyStopMonitor monitor(tc.patience, tc.tolerance);
+  // End of every kept epoch: transductive validation with the full neighbor
+  // index and the state left at the end of the training stream, then early
+  // stopping (keeping the best epoch's parameters) and the time budget.
   const double start = NowSeconds();
-  double total_epoch_seconds = 0.0;
-  double retried_epoch_seconds = 0.0;
-  int64_t checkpoint_bytes = 0;
-  // Per-run phase attribution: the training thread drains its own slot at
-  // epoch barriers, so a concurrent job on another thread never bleeds in.
-  obs::PhaseTotals run_phases;
-  auto& registry = obs::MetricRegistry::Global();
-  int epochs_run = 0;
-  int nan_retries = 0;
   bool hit_budget = false;
-  bool canceled = false;
-  bool diverged = false;
-  const int max_epochs = model->trainable() ? tc.max_epochs : 1;
-  const std::vector<Var> params = model->Parameters();
-  const bool checkpointing =
-      model->trainable() && !tc.checkpoint_path.empty();
-  robustness::CheckpointLineage lineage(tc.checkpoint_path,
-                                        tc.checkpoint_generations);
-  // The checkpoint lineage only outlives the job when the job dies
-  // mid-flight; any terminal exit (success, "*", "x") retires it.
-  auto retire_checkpoint = [&] {
-    if (checkpointing) (void)lineage.Remove();
-  };
-
-  // Parameters at the monitor's best epoch; restored before the test pass
-  // so early stopping evaluates the best — not the last — weights.
-  std::string best_params;
-
-  // Snapshot/restore of everything that makes an epoch boundary a
-  // deterministic cut point: parameters, Adam moments, both RNG streams,
-  // the monitor, and the (possibly backed-off) learning rate. Used both
-  // for in-memory rollback after a NaN event and for the on-disk job
-  // checkpoint.
-  auto snapshot_now = [&]() {
-    robustness::JobCheckpoint s;
-    s.seed = tc.seed;
-    s.learning_rate = optimizer.learning_rate();
-    s.monitor = monitor.state();
-    s.val_auc = result.val_transductive.auc;
-    s.val_ap = result.val_transductive.ap;
-    s.val_count = result.val_transductive.count;
-    s.model_rng = model->SaveRngState();
-    s.sampler_rng = train_sampler.SaveRngState();
-    s.params = tensor::SnapshotParameters(params);
-    s.adam = optimizer.SnapshotState();
-    s.best_params = best_params;
-    return s;
-  };
-  auto restore_from = [&](const robustness::JobCheckpoint& s) {
-    if (!tensor::RestoreParameters(s.params, params)) return false;
-    if (!optimizer.RestoreState(s.adam)) return false;
-    // Grad-buffer allocation is trajectory state: Adam skips parameters whose
-    // lazily allocated grad buffer is still empty, but applies momentum decay
-    // to ones that were touched in an earlier epoch and merely zeroed since.
-    // Pre-allocating every buffer makes a restored process bit-identical to
-    // the uninterrupted one (a zero grad with zero moments is an exact no-op).
-    for (const Var& p : params) p->EnsureGrad();
-    if (!model->LoadRngState(s.model_rng)) return false;
-    if (!train_sampler.LoadRngState(s.sampler_rng)) return false;
-    optimizer.set_learning_rate(s.learning_rate);
-    monitor.Restore(s.monitor);
-    result.val_transductive.auc = s.val_auc;
-    result.val_transductive.ap = s.val_ap;
-    result.val_transductive.count = s.val_count;
-    best_params = s.best_params;
-    return true;
-  };
-
-  int epoch = 0;
-  robustness::JobCheckpoint rollback = snapshot_now();
-
-  // Resume: a matching on-disk checkpoint restarts the job exactly where
-  // it died instead of from scratch.
-  if (checkpointing) {
-    robustness::JobCheckpoint ckpt;
-    // A corrupt newest generation silently falls back to an older one (the
-    // skip is counted in robustness.ckpt_fallbacks); a seed mismatch means
-    // a different job left these files behind, so start fresh.
-    if (lineage.Load(&ckpt).ok && ckpt.seed == tc.seed &&
-        restore_from(ckpt)) {
-      epoch = ckpt.next_epoch;
-      epochs_run = ckpt.epochs_run;
-      nan_retries = ckpt.nan_retries;
-      total_epoch_seconds = ckpt.total_epoch_seconds;
-      retried_epoch_seconds = ckpt.retried_epoch_seconds;
-      rollback = snapshot_now();
-      result.resumed = true;
-    }
-  }
-
-  // Resolved prefetch depth (0 = synchronous): an explicit TrainConfig
-  // value wins, otherwise BENCHTEMP_PIPELINE decides.
-  const int pipeline_depth =
-      tc.pipeline_depth >= 0 ? tc.pipeline_depth : pipeline::DepthFromEnv();
-
-  while (epoch < max_epochs) {
-    const double epoch_start = NowSeconds();
-    bool nan_event = false;
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-      model->Reset();
-    }
-    model->set_training(true);
-    model->SetNeighborFinder(&train_finder);
-    {
-      // Batch preparation — stall probe, keyed negatives, the model's
-      // sampling stage — is a pure function of (epoch, batch index), so it
-      // runs inline at depth 0 and ahead on pool workers otherwise with
-      // bit-identical results. Scoped so the prefetcher drains before the
-      // neighbor finder swaps to the full index (and so a NaN retry
-      // discards, never checkpoints, prefetched batches).
-      auto prepare = [&, epoch](int64_t bi) {
-        pipeline::PreparedBatch pb;
-        pb.index = bi;
-        ProbeStallFault();
-        const Batch& pbatch = train_batches[static_cast<size_t>(bi)];
-        const uint64_t seed = BatchSeed(tc.seed, epoch, bi);
-        pb.negatives = train_sampler.SampleNegativesKeyed(
-            tensor::SplitMix64(seed, 0), pbatch.srcs, pbatch.dsts);
-        pb.inputs = model->PrepareBatch(pbatch, pb.negatives, seed);
-        return pb;
-      };
-      pipeline::BatchPrefetcher prefetcher(
-          static_cast<int64_t>(train_batches.size()), pipeline_depth,
-          prepare, tc.cancel_token);
-      for (size_t bi = 0; bi < train_batches.size(); ++bi) {
-        // The tape scope is the first declaration in the loop body, so the
-        // batch's Vars (pos/neg/loss graph) are destroyed before the arena
-        // rewinds their storage.
-        tensor::kernels::TapeScope tape_scope;
-        if (Canceled(tc)) {
-          canceled = true;
-          break;
-        }
-        pipeline::PreparedBatch pb;
-        {
-          obs::ScopedPhaseTimer timer(obs::Phase::kSample);
-          if (!prefetcher.Next(&pb)) {
-            canceled = true;
-            break;
-          }
-        }
-        ProbeThrowFault();
-        const Batch& batch = train_batches[static_cast<size_t>(pb.index)];
-        const std::vector<int32_t>& negatives = pb.negatives;
-        Var pos, neg;
-        {
-          obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-          model->SetPreparedInputs(pb.inputs.get());
-          pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
-          neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
-          model->SetPreparedInputs(nullptr);
-        }
-        if (model->status() == ModelStatus::kRuntimeError) {
-          result.status = ModelStatus::kRuntimeError;
-          result.annotation = "*";
-          result.nan_retries = nan_retries;
-          retire_checkpoint();
-          return result;
-        }
-        if (model->trainable()) {
-          bool finite = true;
-          Var loss;
-          {
-            obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-            Tensor ones({pos->value.size()});
-            ones.Fill(1.0f);
-            Tensor zeros({neg->value.size()});
-            // Averaging the two BCE halves is a fused 2-op pass: one tape
-            // node instead of an eager Add node plus a ScalarMul node.
-            loss = expr::ScalarMul(
-                expr::Add(expr::Ex(BceWithLogits(pos, ones)),
-                          expr::Ex(BceWithLogits(neg, zeros))),
-                0.5f);
-            // NaN/Inf sentinel 1: a non-finite loss means this step would
-            // poison the parameters — bail out before touching them.
-            finite = tensor::AllFinite(loss->value);
-          }
-          if (base::FaultInjector::Global().Fire(
-                  base::FaultSite::kNanLoss)) {
-            finite = false;
-          }
-          if (!finite) {
-            nan_event = true;
-            break;
-          }
-          {
-            obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
-            optimizer.ZeroGrad();
-            Backward(loss);
-            // Sentinel 2: gradients can overflow even under a finite loss.
-            if (!tensor::GradsFinite(params)) {
-              nan_event = true;
-            } else {
-              tensor::ClipGradNorm(params, tc.grad_clip_norm);
-              optimizer.Step();
-              // Sentinel 3: the Adam update itself (tiny v̂, large m̂) can
-              // still push a parameter out of range.
-              if (!tensor::ParamsFinite(params)) nan_event = true;
-            }
-          }
-          if (nan_event) break;
-        }
-        {
-          obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-          model->UpdateState(batch);
-        }
-        registry.Add(obs::Counter::kTrainBatches, 1);
-        registry.Add(obs::Counter::kTrainEvents, batch.size());
-      }
-      AccumulatePipelineStats(prefetcher.stats(), &result.efficiency);
-    }
-    if (canceled) break;
-    if (nan_event) {
-      // Divergence recovery: roll back to the last epoch boundary, halve
-      // the learning rate, and retry — a recorded, recoverable event
-      // instead of a poisoned sweep.
-      ++nan_retries;
-      retried_epoch_seconds += NowSeconds() - epoch_start;
-      registry.Add(obs::Counter::kNanRetries, 1);
-      registry.Add(obs::Counter::kRollbacks, 1);
-      registry.DrainThisThread(&run_phases);
-      const bool restored = restore_from(rollback);
-      tensor::CheckOrDie(restored, "NaN rollback: corrupt epoch snapshot");
-      if (nan_retries > tc.max_nan_retries) {
-        diverged = true;
-        break;
-      }
-      optimizer.set_learning_rate(optimizer.learning_rate() * tc.lr_backoff);
-      continue;  // retry the same epoch
-    }
-    total_epoch_seconds += NowSeconds() - epoch_start;
-    ++epochs_run;
-
-    // Validation: transductive AUC with the full neighbor index and the
-    // state left at the end of the training stream.
+  auto validate = [&] {
     model->set_training(false);
     model->SetNeighborFinder(&full_finder);
     std::vector<double> val_pos, val_neg, val_ranks;
     {
       obs::ScopedPhaseTimer timer(obs::Phase::kEval);
-      EvalPassConfig val_cfg;
-      val_cfg.pass_seed = tc.seed + 2;
-      val_cfg.pipeline_depth = pipeline_depth;
-      val_cfg.cancel = tc.cancel_token;
-      val_cfg.candidates = candidate_sampler.get();
-      val_cfg.tie_policy = tc.mrr_tie_policy;
+      eval_cfg.pass_seed = tc.seed + 2;
       ScorePass(model.get(), graph, split.val_events, tc.batch_size,
-                val_sampler.get(), val_cfg, &val_pos, &val_neg,
-                candidate_sampler != nullptr ? &val_ranks : nullptr);
+                val_sampler.get(), eval_cfg, &val_pos, &val_neg, &val_ranks);
     }
-    if (model->status() == ModelStatus::kRuntimeError) {
-      result.status = ModelStatus::kRuntimeError;
-      result.annotation = "*";
-      result.nan_retries = nan_retries;
-      retire_checkpoint();
-      return result;
-    }
-    result.val_transductive =
+    if (model->status() == ModelStatus::kRuntimeError) return true;
+    loop.val =
         SubsetMetrics(split.val_events, split.val_events, val_pos, val_neg);
     if (candidate_sampler != nullptr) {
       result.val_ranking =
           SubsetRanking(split.val_events, split.val_events, val_ranks);
     }
-    bool stop = false;
     if (model->trainable()) {
-      stop = monitor.Update(result.val_transductive.auc);
-      if (monitor.rounds_without_improvement() == 0) {
-        best_params = tensor::SnapshotParameters(params);
+      const bool stop = loop.monitor.Update(loop.val.auc);
+      if (loop.monitor.rounds_without_improvement() == 0) {
+        loop.best_params = tensor::SnapshotParameters(loop.params());
       }
+      if (stop) return true;
     }
-    ++epoch;
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kCheckpoint);
-      rollback = snapshot_now();
-      if (checkpointing) {
-        rollback.next_epoch = epoch;
-        rollback.epochs_run = epochs_run;
-        rollback.nan_retries = nan_retries;
-        rollback.total_epoch_seconds = total_epoch_seconds;
-        rollback.retried_epoch_seconds = retried_epoch_seconds;
-        int64_t bytes = 0;
-        if (lineage.Save(rollback, &bytes)) {
-          checkpoint_bytes = bytes;
-        }
-      }
-    }
-    registry.DrainThisThread(&run_phases);
-    if (stop) break;
-    if (tc.time_budget_seconds > 0.0 &&
-        NowSeconds() - start > tc.time_budget_seconds) {
-      hit_budget = true;
-      break;
-    }
-    if (Canceled(tc)) {
-      canceled = true;
-      break;
-    }
-  }
-  result.nan_retries = nan_retries;
-
-  if (canceled || diverged) {
-    // Watchdog deadline or exhausted NaN-retry budget: record the paper's
-    // non-convergence marker and skip the (expensive) test pass.
-    result.annotation = "x";
-    registry.DrainThisThread(&run_phases);
-    EfficiencyStats& eff = result.efficiency;
-    eff.epochs_run = epochs_run;
-    eff.best_epoch = monitor.best_epoch();
-    eff.converged = false;
-    eff.seconds_per_epoch =
-        epochs_run > 0 ? total_epoch_seconds / epochs_run : 0.0;
-    eff.retried_epoch_seconds = retried_epoch_seconds;
-    eff.max_rss_gb = MaxRssGb();
-    eff.state_bytes = model->StateBytes();
-    eff.parameter_bytes = model->ParameterBytes();
-    eff.checkpoint_bytes = checkpoint_bytes;
-    eff.phase_seconds = run_phases.seconds;
-    FinishPipelineStats(pipeline_depth, &eff);
-    retire_checkpoint();
-    return result;
+    hit_budget = tc.time_budget_seconds > 0.0 &&
+                 NowSeconds() - start > tc.time_budget_seconds;
+    return hit_budget;
+  };
+  result.annotation =
+      loop.Run(model->trainable() ? tc.max_epochs : 1, &train_finder, validate);
+  result.status = model->status();
+  result.val_transductive = loop.val;
+  result.nan_retries = loop.nan_retries();
+  result.resumed = loop.resumed();
+  EfficiencyStats& eff = result.efficiency;
+  if (!result.annotation.empty()) {
+    loop.Finish(&eff);
+    return result;  // skip the (expensive) test pass
   }
 
   // Evaluate the best epoch's weights, not the last: early stopping keeps
   // training `patience` epochs past the peak, and those extra updates
   // should not leak into the test metrics.
-  if (model->trainable() && !best_params.empty()) {
-    const bool restored = tensor::RestoreParameters(best_params, params);
+  if (model->trainable() && !loop.best_params.empty()) {
+    const bool restored =
+        tensor::RestoreParameters(loop.best_params, loop.params());
     tensor::CheckOrDie(restored, "best-epoch restore: corrupt snapshot");
   }
 
@@ -672,78 +694,45 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
   model->set_training(false);
   model->SetNeighborFinder(&full_finder);
   model->Reset();
-  std::vector<int64_t> pre_test_events;
-  pre_test_events.reserve(static_cast<size_t>(split.val_end));
-  for (int64_t i = 0; i < split.val_end; ++i) pre_test_events.push_back(i);
+  std::vector<int64_t> pre_test_events(static_cast<size_t>(split.val_end));
+  std::iota(pre_test_events.begin(), pre_test_events.end(), 0);
   std::vector<double> test_pos, test_neg, test_ranks;
   double inference_seconds = 0.0;
   {
     obs::ScopedPhaseTimer timer(obs::Phase::kEval);
-    ReplayState(model.get(), graph, pre_test_events, tc.batch_size);
+    for (const Batch& batch :
+         MakeBatches(graph, pre_test_events, tc.batch_size)) {
+      tensor::kernels::TapeScope tape_scope;
+      model->UpdateState(batch);  // state replay only, no scoring
+    }
     const double inference_start = NowSeconds();
-    EvalPassConfig test_cfg;
-    test_cfg.pass_seed = tc.seed + 3;
-    test_cfg.pipeline_depth = pipeline_depth;
-    test_cfg.cancel = tc.cancel_token;
-    test_cfg.candidates = candidate_sampler.get();
-    test_cfg.tie_policy = tc.mrr_tie_policy;
+    eval_cfg.pass_seed = tc.seed + 3;
     ScorePass(model.get(), graph, split.test_events, tc.batch_size,
-              test_sampler.get(), test_cfg, &test_pos, &test_neg,
-              candidate_sampler != nullptr ? &test_ranks : nullptr);
+              test_sampler.get(), eval_cfg, &test_pos, &test_neg,
+              &test_ranks);
     inference_seconds = NowSeconds() - inference_start;
   }
-  registry.DrainThisThread(&run_phases);
-  if (model->status() == ModelStatus::kRuntimeError) {
-    result.status = ModelStatus::kRuntimeError;
+  loop.Finish(&eff);
+  result.status = model->status();
+  if (result.status == ModelStatus::kRuntimeError) {
     result.annotation = "*";
-    retire_checkpoint();
     return result;
   }
 
-  result.test[static_cast<int>(Setting::kTransductive)] = SubsetMetrics(
-      split.test_events, split.test_events, test_pos, test_neg);
-  result.test[static_cast<int>(Setting::kInductive)] = SubsetMetrics(
-      split.test_events, split.test_inductive, test_pos, test_neg);
-  result.test[static_cast<int>(Setting::kInductiveNewOld)] = SubsetMetrics(
-      split.test_events, split.test_new_old, test_pos, test_neg);
-  result.test[static_cast<int>(Setting::kInductiveNewNew)] = SubsetMetrics(
-      split.test_events, split.test_new_new, test_pos, test_neg);
-  if (candidate_sampler != nullptr) {
-    result.test_ranking[static_cast<int>(Setting::kTransductive)] =
-        SubsetRanking(split.test_events, split.test_events, test_ranks);
-    result.test_ranking[static_cast<int>(Setting::kInductive)] =
-        SubsetRanking(split.test_events, split.test_inductive, test_ranks);
-    result.test_ranking[static_cast<int>(Setting::kInductiveNewOld)] =
-        SubsetRanking(split.test_events, split.test_new_old, test_ranks);
-    result.test_ranking[static_cast<int>(Setting::kInductiveNewNew)] =
-        SubsetRanking(split.test_events, split.test_new_new, test_ranks);
+  // Indexed by static_cast<int>(Setting).
+  const std::array<const std::vector<int64_t>*, 4> settings = {
+      &split.test_events, &split.test_inductive, &split.test_new_old,
+      &split.test_new_new};
+  for (size_t s = 0; s < settings.size(); ++s) {
+    result.test[s] =
+        SubsetMetrics(split.test_events, *settings[s], test_pos, test_neg);
+    if (candidate_sampler != nullptr) {
+      result.test_ranking[s] =
+          SubsetRanking(split.test_events, *settings[s], test_ranks);
+    }
   }
 
-  EfficiencyStats& eff = result.efficiency;
-  eff.epochs_run = epochs_run;
-  eff.best_epoch = monitor.best_epoch();
-  eff.converged = model->trainable()
-                      ? (monitor.rounds_without_improvement() >= tc.patience)
-                      : true;
-  // Throughput over *kept* epochs only: wall-time of rolled-back epochs is
-  // reported separately so a retried run does not misstate its speed.
-  eff.seconds_per_epoch =
-      epochs_run > 0 ? total_epoch_seconds / epochs_run : 0.0;
-  eff.retried_epoch_seconds = retried_epoch_seconds;
-  eff.max_rss_gb = MaxRssGb();
-  eff.state_bytes = model->StateBytes();
-  eff.parameter_bytes = model->ParameterBytes();
-  eff.checkpoint_bytes = checkpoint_bytes;
-  eff.phase_seconds = run_phases.seconds;
-  FinishPipelineStats(pipeline_depth, &eff);
-  if (retried_epoch_seconds > 0.0) {
-    registry.SetGauge("train.retried_epoch_seconds", retried_epoch_seconds);
-  }
-  if (eff.seconds_per_epoch > 0.0) {
-    eff.train_events_per_second =
-        static_cast<double>(split.train_events.size()) /
-        eff.seconds_per_epoch;
-  }
+  eff.converged = !model->trainable() || loop.monitor.stopped();
   // Pairs scored by the test pass: positive + negative per event, plus the
   // k ranking candidates per event when the MRR evaluator is on.
   const int64_t scored = (2 + static_cast<int64_t>(result.mrr_k)) *
@@ -760,7 +749,6 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
   if (model->trainable() && !eff.converged && hit_budget) {
     result.annotation = "x";
   }
-  retire_checkpoint();
   return result;
 }
 
@@ -786,99 +774,20 @@ NodeClassificationResult RunNodeClassification(
   model_config.seed = tc.seed + 17;
   auto model =
       models::CreateModel(job.kind, &graph, model_config, job.num_users);
-  tensor::Adam optimizer(model->Parameters(), tc.learning_rate);
-  RandomEdgeSampler train_sampler(dst_lo, dst_hi, tc.seed + 1);
 
-  const std::vector<Batch> train_batches =
-      MakeBatches(graph, split.train_events, tc.batch_size);
-  auto& registry = obs::MetricRegistry::Global();
-  double pretrain_seconds = 0.0;
-  const int pretrain = model->trainable() ? job.pretrain_epochs : 0;
-  const int pipeline_depth =
-      tc.pipeline_depth >= 0 ? tc.pipeline_depth : pipeline::DepthFromEnv();
-  for (int epoch = 0; epoch < pretrain; ++epoch) {
-    const double epoch_start = NowSeconds();
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-      model->Reset();
-    }
-    model->set_training(true);
-    model->SetNeighborFinder(&full_finder);
-    // Same pipelined preparation as the link-prediction loop: pure per-batch
-    // seeds, scoped so the prefetcher drains before the epoch ends.
-    auto prepare = [&, epoch](int64_t bi) {
-      pipeline::PreparedBatch pb;
-      pb.index = bi;
-      ProbeStallFault();
-      const Batch& pbatch = train_batches[static_cast<size_t>(bi)];
-      const uint64_t seed = BatchSeed(tc.seed, epoch, bi);
-      pb.negatives = train_sampler.SampleNegativesKeyed(
-          tensor::SplitMix64(seed, 0), pbatch.srcs, pbatch.dsts);
-      pb.inputs = model->PrepareBatch(pbatch, pb.negatives, seed);
-      return pb;
-    };
-    pipeline::BatchPrefetcher prefetcher(
-        static_cast<int64_t>(train_batches.size()), pipeline_depth, prepare,
-        tc.cancel_token);
-    for (size_t bi = 0; bi < train_batches.size(); ++bi) {
-      tensor::kernels::TapeScope tape_scope;
-      if (Canceled(tc)) {
-        result.annotation = "x";
-        return result;
-      }
-      pipeline::PreparedBatch pb;
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kSample);
-        if (!prefetcher.Next(&pb)) {
-          result.annotation = "x";
-          return result;
-        }
-      }
-      ProbeThrowFault();
-      const Batch& batch = train_batches[static_cast<size_t>(pb.index)];
-      const std::vector<int32_t>& negatives = pb.negatives;
-      Var pos, neg;
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-        model->SetPreparedInputs(pb.inputs.get());
-        pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
-        neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
-        model->SetPreparedInputs(nullptr);
-      }
-      if (model->status() == ModelStatus::kRuntimeError) {
-        result.status = ModelStatus::kRuntimeError;
-        result.annotation = "*";
-        return result;
-      }
-      Var loss;
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-        Tensor ones({pos->value.size()});
-        ones.Fill(1.0f);
-        Tensor zeros({neg->value.size()});
-        loss = expr::ScalarMul(
-            expr::Add(expr::Ex(BceWithLogits(pos, ones)),
-                      expr::Ex(BceWithLogits(neg, zeros))),
-            0.5f);
-      }
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
-        optimizer.ZeroGrad();
-        Backward(loss);
-        tensor::ClipGradNorm(model->Parameters(), tc.grad_clip_norm);
-        optimizer.Step();
-      }
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-        model->UpdateState(batch);
-      }
-      registry.Add(obs::Counter::kTrainBatches, 1);
-      registry.Add(obs::Counter::kTrainEvents, batch.size());
-    }
-    AccumulatePipelineStats(prefetcher.stats(), &result.efficiency);
-    pretrain_seconds += NowSeconds() - epoch_start;
+  // Self-supervised link-prediction pre-training on the full neighbor
+  // index: exactly `pretrain_epochs` kept epochs, nothing at epoch ends.
+  TrainingLoop loop(tc, model.get(),
+                    MakeBatches(graph, split.train_events, tc.batch_size),
+                    dst_lo, dst_hi, EarlyStopMonitor());
+  EfficiencyStats& eff = result.efficiency;
+  result.annotation = loop.Run(model->trainable() ? job.pretrain_epochs : 0,
+                               &full_finder, [] { return false; });
+  result.status = model->status();
+  if (!result.annotation.empty()) {
+    loop.Finish(&eff);
+    return result;
   }
-  FinishPipelineStats(pipeline_depth, &result.efficiency);
 
   // Frozen-embedding extraction: one chronological pass over the stream
   // caching each labeled event's source-node embedding.
@@ -891,8 +800,7 @@ NodeClassificationResult RunNodeClassification(
   {
     obs::ScopedPhaseTimer timer(obs::Phase::kEval);
     std::vector<int64_t> all_events(static_cast<size_t>(graph.num_events()));
-    for (int64_t i = 0; i < graph.num_events(); ++i)
-      all_events[static_cast<size_t>(i)] = i;
+    std::iota(all_events.begin(), all_events.end(), 0);
     int64_t cursor = 0;
     for (const Batch& batch : MakeBatches(graph, all_events, tc.batch_size)) {
       tensor::kernels::TapeScope tape_scope;
@@ -932,21 +840,6 @@ NodeClassificationResult RunNodeClassification(
   gather(split.val_events, &x_val, &y_val);
   gather(split.test_events, &x_test, &y_test);
 
-  auto scores_of = [&](const Tensor& x) {
-    Var logits = decoder.Forward(tensor::Constant(x));
-    return logits;
-  };
-  auto binary_auc = [&](const Tensor& x, const std::vector<int64_t>& y) {
-    Var logits = scores_of(x);
-    std::vector<double> scores;
-    std::vector<int> lab;
-    for (size_t i = 0; i < y.size(); ++i) {
-      scores.push_back(logits->value.at(static_cast<int64_t>(i)));
-      lab.push_back(y[i] == 1 ? 1 : 0);
-    }
-    return RocAuc(scores, lab);
-  };
-
   // The decoder is cheap, so it gets a more patient monitor than the
   // expensive TGNN training loop.
   EarlyStopMonitor monitor(std::max(tc.patience, 8), tc.tolerance);
@@ -957,10 +850,11 @@ NodeClassificationResult RunNodeClassification(
   std::string best_decoder;
   for (int epoch = 0; epoch < job.decoder_epochs; ++epoch) {
     // Scopes the decoder epoch's whole graph (loss and the validation
-    // passes below both live within one tape).
+    // pass below both live within one tape).
     tensor::kernels::TapeScope tape_scope;
     if (Canceled(tc)) {
       result.annotation = "x";
+      loop.Finish(&eff);
       return result;
     }
     const double epoch_start = NowSeconds();
@@ -986,23 +880,12 @@ NodeClassificationResult RunNodeClassification(
     }
     decoder_seconds += NowSeconds() - epoch_start;
     ++decoder_epochs_run;
+    // Validation AUC for the binary task, accuracy for the multi-class one.
+    Var val_logits = decoder.Forward(tensor::Constant(x_val));
     const double val_metric =
-        binary ? binary_auc(x_val, y_val) : [&] {
-          Var val_logits = scores_of(x_val);
-          std::vector<int> pred, actual;
-          for (size_t i = 0; i < y_val.size(); ++i) {
-            int best = 0;
-            for (int c = 1; c < num_classes; ++c) {
-              if (val_logits->value.at(static_cast<int64_t>(i), c) >
-                  val_logits->value.at(static_cast<int64_t>(i), best)) {
-                best = c;
-              }
-            }
-            pred.push_back(best);
-            actual.push_back(static_cast<int>(y_val[i]));
-          }
-          return Accuracy(pred, actual);
-        }();
+        binary ? PositiveClassAuc(val_logits->value, y_val)
+               : Accuracy(PredictedClasses(val_logits->value),
+                          std::vector<int>(y_val.begin(), y_val.end()));
     const bool stop = monitor.Update(val_metric);
     if (monitor.rounds_without_improvement() == 0) {
       best_decoder = tensor::SnapshotParameters(decoder.Parameters());
@@ -1015,69 +898,30 @@ NodeClassificationResult RunNodeClassification(
     tensor::CheckOrDie(restored, "best-decoder restore: corrupt snapshot");
   }
 
-  // Test metrics.
-  if (binary) {
-    result.test_auc = binary_auc(x_test, y_test);
-    Var logits = scores_of(x_test);
-    std::vector<int> pred, actual;
-    for (size_t i = 0; i < y_test.size(); ++i) {
-      pred.push_back(logits->value.at(static_cast<int64_t>(i)) > 0.0f ? 1
-                                                                      : 0);
-      actual.push_back(static_cast<int>(y_test[i]));
-    }
-    result.accuracy = Accuracy(pred, actual);
-    const WeightedPrf prf = WeightedPrecisionRecallF1(pred, actual, 2);
-    result.precision_weighted = prf.precision;
-    result.recall_weighted = prf.recall;
-    result.f1_weighted = prf.f1;
-  } else {
-    Var logits = scores_of(x_test);
-    std::vector<int> pred, actual;
-    for (size_t i = 0; i < y_test.size(); ++i) {
-      int best = 0;
-      for (int c = 1; c < num_classes; ++c) {
-        if (logits->value.at(static_cast<int64_t>(i), c) >
-            logits->value.at(static_cast<int64_t>(i), best)) {
-          best = c;
-        }
-      }
-      pred.push_back(best);
-      actual.push_back(static_cast<int>(y_test[i]));
-    }
-    result.accuracy = Accuracy(pred, actual);
-    const WeightedPrf prf =
-        WeightedPrecisionRecallF1(pred, actual, num_classes);
-    result.precision_weighted = prf.precision;
-    result.recall_weighted = prf.recall;
-    result.f1_weighted = prf.f1;
-    // One-vs-rest AUC of the positive (fraud) class for comparability.
-    std::vector<double> scores;
-    std::vector<int> lab;
-    for (size_t i = 0; i < y_test.size(); ++i) {
-      scores.push_back(logits->value.at(static_cast<int64_t>(i), 1));
-      lab.push_back(y_test[i] == 1 ? 1 : 0);
-    }
-    result.test_auc = RocAuc(scores, lab);
-  }
+  // Test metrics (Appendix G): accuracy and weighted P/R/F1 of the
+  // predicted classes, and the positive (fraud) class AUC — one-vs-rest
+  // for comparability when the task is multi-class.
+  Var logits = decoder.Forward(tensor::Constant(x_test));
+  const std::vector<int> pred = PredictedClasses(logits->value);
+  const std::vector<int> actual(y_test.begin(), y_test.end());
+  result.test_auc = PositiveClassAuc(logits->value, y_test);
+  result.accuracy = Accuracy(pred, actual);
+  const WeightedPrf prf = WeightedPrecisionRecallF1(pred, actual, num_classes);
+  result.precision_weighted = prf.precision;
+  result.recall_weighted = prf.recall;
+  result.f1_weighted = prf.f1;
 
-  EfficiencyStats& eff = result.efficiency;
-  obs::PhaseTotals nc_phases;
-  registry.DrainThisThread(&nc_phases);
-  eff.phase_seconds = nc_phases.seconds;
+  // The loop fills the pre-training columns; the Epoch column counts the
+  // decoder's epochs, and Runtime averages over both kinds of epoch.
+  loop.Finish(&eff);
+  const int pretrain_epochs = eff.epochs_run;
+  const double pretrain_seconds = eff.seconds_per_epoch * pretrain_epochs;
   eff.epochs_run = decoder_epochs_run;
   eff.best_epoch = monitor.best_epoch();
-  eff.converged = monitor.rounds_without_improvement() >= tc.patience;
-  const int denom = pretrain + decoder_epochs_run;
+  eff.converged = monitor.stopped();
+  const int epochs = pretrain_epochs + decoder_epochs_run;
   eff.seconds_per_epoch =
-      denom > 0 ? (pretrain_seconds + decoder_seconds) / denom : 0.0;
-  eff.max_rss_gb = MaxRssGb();
-  eff.state_bytes = model->StateBytes();
-  eff.parameter_bytes = model->ParameterBytes();
-  if (pretrain_seconds > 0.0 && pretrain > 0) {
-    eff.train_events_per_second =
-        static_cast<double>(split.train_events.size()) /
-        (pretrain_seconds / pretrain);
-  }
+      epochs > 0 ? (pretrain_seconds + decoder_seconds) / epochs : 0.0;
   return result;
 }
 

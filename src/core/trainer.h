@@ -34,6 +34,8 @@ struct TrainConfig {
   float grad_clip_norm = 5.0f;
 
   // --- Robustness layer (see DESIGN.md "Failure model") ---
+  // These fields act on the one training loop both tasks share: link
+  // prediction's training and node classification's pre-training.
 
   /// NaN/Inf sentinel: when the loss, a gradient, or a parameter goes
   /// non-finite, the trainer rolls back to the last epoch boundary,
@@ -47,15 +49,18 @@ struct TrainConfig {
   /// from it and replays the exact trajectory an uninterrupted run would
   /// have taken. Generations (`<path>.g<seq>` plus a `<path>.lineage`
   /// manifest) are written atomically at every epoch boundary and all
-  /// removed when the job completes; a corrupt newest generation falls
-  /// back to the next one (losing at most that epoch of progress).
+  /// removed at the job's terminal exit (after the test pass for link
+  /// prediction, after the decoder for node classification); a corrupt
+  /// newest generation falls back to the next one (losing at most that
+  /// epoch of progress).
   std::string checkpoint_path;
   /// Checkpoint generations retained per job (>= 1). More generations
   /// survive more independent corruption events at the cost of disk.
   int checkpoint_generations = 3;
   /// Cooperative cancellation (a watchdog's deadline flag), polled at
-  /// batch boundaries; when it goes true the job winds down with the "x"
-  /// annotation. Non-owning; may be null.
+  /// batch boundaries (and at node classification's decoder epochs); when
+  /// it goes true the job winds down with the "x" annotation. Non-owning;
+  /// may be null.
   const std::atomic<bool>* cancel_token = nullptr;
 
   // --- Pipelined training (see DESIGN.md "Pipelined training") ---
@@ -96,6 +101,10 @@ struct EfficiencyStats {
   double seconds_per_epoch = 0.0;
   int epochs_run = 0;
   int best_epoch = -1;
+  /// True when the early-stop monitor ended training (always for a
+  /// heuristic link predictor's single pass); for node classification,
+  /// when the decoder's monitor did. False renders as the Epoch column's
+  /// "x".
   bool converged = false;
   double max_rss_gb = 0.0;
   int64_t state_bytes = 0;
@@ -213,7 +222,13 @@ struct NodeClassificationJob {
 
 /// Runs the node-classification pipeline (Section 3.2.2): LP pre-training,
 /// frozen-embedding extraction over the stream, then a 2-layer MLP decoder
-/// trained on the train window and early-stopped on validation AUC.
+/// trained on the train window and early-stopped on validation AUC
+/// (accuracy for multi-class labels). Pre-training runs exactly
+/// `pretrain_epochs` kept epochs through the same training loop as
+/// RunLinkPrediction, so the NaN sentinels with rollback, the checkpoint
+/// lineage with resume, and the cancel token all apply to it. In
+/// `efficiency`, epochs_run / best_epoch / converged describe the decoder,
+/// and seconds_per_epoch averages pre-training and decoder epochs.
 NodeClassificationResult RunNodeClassification(
     const NodeClassificationJob& job);
 

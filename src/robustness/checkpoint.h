@@ -28,7 +28,8 @@ bool ReadFile(const std::string& path, std::string* payload);
 /// files without loading them).
 uint64_t Fnv1a64(const std::string& bytes);
 
-/// A full training-job checkpoint: everything RunLinkPrediction needs to
+/// A full training-job checkpoint: everything the trainer's shared training
+/// loop (link prediction, and node classification's pre-training) needs to
 /// continue from an epoch boundary exactly as an uninterrupted run would.
 ///
 /// The blobs are opaque sections produced by the tensor layer

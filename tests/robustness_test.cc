@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -38,7 +40,10 @@ using base::FaultSiteName;
 using base::FaultSpec;
 using core::LinkPredictionJob;
 using core::LinkPredictionResult;
+using core::NodeClassificationJob;
+using core::NodeClassificationResult;
 using core::RunLinkPrediction;
+using core::RunNodeClassification;
 using graph::TemporalGraph;
 using models::ModelKind;
 using tensor::Var;
@@ -79,6 +84,43 @@ LinkPredictionJob SmallTgnJob(const TemporalGraph* g) {
   job.train_config.learning_rate = 1e-3f;
   job.train_config.seed = 5;
   return job;
+}
+
+/// A node-classification job on a labeled copy of the learnable graph:
+/// four pre-training epochs through the shared training loop.
+NodeClassificationJob SmallTgnNcJob(const TemporalGraph* g) {
+  const LinkPredictionJob lp = SmallTgnJob(g);
+  NodeClassificationJob job;
+  job.graph = g;
+  job.num_users = lp.num_users;
+  job.kind = lp.kind;
+  job.model_config = lp.model_config;
+  job.train_config = lp.train_config;
+  job.pretrain_epochs = 4;
+  job.decoder_epochs = 20;
+  return job;
+}
+
+TemporalGraph MakeLabeledGraph() {
+  datagen::SyntheticConfig cfg;
+  cfg.num_users = 60;
+  cfg.num_items = 25;
+  cfg.num_edges = 900;
+  cfg.edge_reuse_prob = 0.7;
+  cfg.affinity = 0.7;
+  cfg.edge_feature_dim = 4;
+  cfg.label_classes = 2;
+  cfg.label_positive_rate = 0.15;
+  cfg.seed = 33;
+  TemporalGraph g = datagen::Generate(cfg);
+  g.InitNodeFeatures(8);
+  return g;
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
 std::string TempPath(const std::string& name) {
@@ -268,6 +310,35 @@ TEST_F(RobustnessTest, ExhaustedRetryBudgetAnnotatesX) {
   EXPECT_EQ(result.test[0].count, 0);     // test pass skipped
 }
 
+TEST_F(RobustnessTest, NodeClassificationNanRecoversWithRetry) {
+  // NC pre-training runs through the same loop as link prediction, so a
+  // poisoned loss is rolled back and retried there too.
+  TemporalGraph g = MakeLabeledGraph();
+  FaultSpec spec;
+  spec.at_step = 3;
+  FaultInjector::Global().Arm(FaultSite::kNanLoss, spec);
+  const NodeClassificationResult result =
+      RunNodeClassification(SmallTgnNcJob(&g));
+  EXPECT_EQ(FaultInjector::Global().fire_count(FaultSite::kNanLoss), 1);
+  EXPECT_EQ(result.status, models::ModelStatus::kOk);
+  EXPECT_EQ(result.annotation, "");
+  EXPECT_TRUE(std::isfinite(result.test_auc));
+}
+
+TEST_F(RobustnessTest, NodeClassificationExhaustedRetryBudgetAnnotatesX) {
+  TemporalGraph g = MakeLabeledGraph();
+  NodeClassificationJob job = SmallTgnNcJob(&g);
+  job.train_config.max_nan_retries = 2;
+  FaultSpec spec;
+  spec.at_step = 0;
+  spec.count = 1 << 20;
+  FaultInjector::Global().Arm(FaultSite::kNanLoss, spec);
+  const NodeClassificationResult result = RunNodeClassification(job);
+  EXPECT_EQ(result.status, models::ModelStatus::kOk);
+  EXPECT_EQ(result.annotation, "x");
+  EXPECT_DOUBLE_EQ(result.accuracy, 0.0);  // decoder skipped
+}
+
 TEST_F(RobustnessTest, FaultSpecParsingAndNames) {
   FaultInjector& injector = FaultInjector::Global();
   EXPECT_TRUE(injector.Configure("nan_loss@40;stall_batch@5:3:200"));
@@ -357,6 +428,47 @@ TEST_F(RobustnessTest, ResumedJobMatchesUninterruptedRunExactly) {
   const LineageLoadResult gone = CheckpointLineage(path, 3).Load(&peek);
   EXPECT_FALSE(gone.ok);
   EXPECT_EQ(gone.error, "no checkpoint");
+  std::string unused;
+  EXPECT_FALSE(ReadFile(path + ".lineage", &unused));
+}
+
+TEST_F(RobustnessTest, NodeClassificationResumeMatchesUninterruptedRun) {
+  TemporalGraph g = MakeLabeledGraph();
+  const std::string path = TempPath("nc_resume.ckpt");
+  CheckpointLineage(path, 3).Remove();
+  NodeClassificationJob job = SmallTgnNcJob(&g);
+  const NodeClassificationResult reference = RunNodeClassification(job);
+  ASSERT_EQ(reference.status, models::ModelStatus::kOk);
+
+  // Crash in pre-training epoch 2, after the generations of epochs 0 and 1
+  // were committed.
+  const int64_t batches_per_epoch = static_cast<int64_t>(
+      core::MakeBatches(
+          g, core::SplitNodeClassification(g, job.split_config).train_events,
+          job.train_config.batch_size)
+          .size());
+  job.train_config.checkpoint_path = path;
+  FaultSpec spec;
+  spec.at_step = 2 * batches_per_epoch + 1;
+  FaultInjector::Global().Arm(FaultSite::kThrowForward, spec);
+  EXPECT_THROW(RunNodeClassification(job), std::runtime_error);
+  FaultInjector::Global().DisarmAll();
+  {
+    JobCheckpoint peek;
+    ASSERT_TRUE(CheckpointLineage(path, 3).Load(&peek).ok)
+        << "no checkpoint generation survived the crash";
+    EXPECT_EQ(peek.next_epoch, 2);
+  }
+
+  const NodeClassificationResult resumed = RunNodeClassification(job);
+  EXPECT_EQ(resumed.status, models::ModelStatus::kOk);
+  EXPECT_EQ(BitsOf(resumed.test_auc), BitsOf(reference.test_auc));
+  EXPECT_EQ(BitsOf(resumed.accuracy), BitsOf(reference.accuracy));
+  EXPECT_EQ(BitsOf(resumed.f1_weighted), BitsOf(reference.f1_weighted));
+
+  // The decoder is the job's terminal exit: the lineage is retired there.
+  JobCheckpoint peek;
+  EXPECT_FALSE(CheckpointLineage(path, 3).Load(&peek).ok);
   std::string unused;
   EXPECT_FALSE(ReadFile(path + ".lineage", &unused));
 }

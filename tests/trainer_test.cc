@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "datagen/synthetic.h"
+#include "obs/metrics.h"
+#include "runtime/thread_pool.h"
 
 namespace benchtemp::core {
 namespace {
@@ -37,6 +41,12 @@ models::ModelConfig SmallModelConfig() {
   config.num_walks = 2;
   config.walk_length = 2;
   return config;
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
 TrainConfig QuickTrainConfig() {
@@ -219,6 +229,103 @@ TEST(TrainerTest, MultiClassNodeClassification) {
   EXPECT_LE(result.accuracy, 1.0);
   EXPECT_GT(result.precision_weighted, 0.0);
   EXPECT_GE(result.recall_weighted, result.accuracy - 1e-9);
+}
+
+TEST(TrainerTest, StarJobLeavesNoPhasesOnTheThread) {
+  // A "*" exit must drain its phase seconds into its own record: left on
+  // the thread's slot, they would be charged to the next job this worker
+  // runs.
+  datagen::SyntheticConfig cfg;
+  cfg.num_users = 40;
+  cfg.num_items = 0;
+  cfg.num_edges = 800;
+  cfg.time_granularity = 8;
+  cfg.time_span = 8.0;
+  cfg.seed = 9;
+  TemporalGraph g = datagen::Generate(cfg);
+  g.InitNodeFeatures(8);
+  LinkPredictionJob job;
+  job.graph = &g;
+  job.kind = ModelKind::kTgat;
+  job.model_config = SmallModelConfig();
+  job.model_config.tgat_time_window = 0.25;  // below the tick size
+  job.train_config = QuickTrainConfig();
+
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  auto& registry = obs::MetricRegistry::Global();
+  registry.DrainThisThread(nullptr);
+  const LinkPredictionResult result = RunLinkPrediction(job);
+  obs::PhaseTotals left;
+  registry.DrainThisThread(&left);
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
+
+  ASSERT_EQ(result.annotation, "*");
+  for (int p = 0; p < obs::kNumPhases; ++p) {
+    EXPECT_EQ(left.count[static_cast<size_t>(p)], 0) << "phase " << p;
+    EXPECT_DOUBLE_EQ(left.seconds[static_cast<size_t>(p)], 0.0)
+        << "phase " << p;
+  }
+  EXPECT_GT(result.efficiency
+                .phase_seconds[static_cast<int>(obs::Phase::kForward)],
+            0.0);
+}
+
+TEST(TrainerTest, NodeClassificationConvergedMeansDecoderMonitorStopped) {
+  // No AUC improves by more than a tolerance of 1.0, so the decoder's
+  // monitor (patience max(3, 8) = 8) stops after its ninth epoch.
+  TemporalGraph g = MakeLearnableGraph(33);
+  NodeClassificationJob job;
+  job.graph = &g;
+  job.num_users = 60;
+  job.kind = ModelKind::kTgn;
+  job.model_config = SmallModelConfig();
+  job.train_config = QuickTrainConfig();
+  job.train_config.tolerance = 1.0;
+  job.pretrain_epochs = 1;
+  job.decoder_epochs = 4;
+  const NodeClassificationResult ran_out = RunNodeClassification(job);
+  EXPECT_EQ(ran_out.efficiency.epochs_run, 4);
+  EXPECT_FALSE(ran_out.efficiency.converged);
+
+  job.decoder_epochs = 20;
+  const NodeClassificationResult stopped = RunNodeClassification(job);
+  EXPECT_EQ(stopped.efficiency.epochs_run, 9);
+  EXPECT_TRUE(stopped.efficiency.converged);
+}
+
+TEST(TrainerTest, NodeClassificationBitIdenticalAcrossDepthsAndThreads) {
+  TemporalGraph g = MakeLearnableGraph(33);
+  auto& pool = runtime::ThreadPool::Global();
+  const int original_threads = pool.num_threads();
+  for (const ModelKind kind : {ModelKind::kTgn, ModelKind::kCawn}) {
+    std::vector<std::vector<uint64_t>> runs;
+    for (const int threads : {1, 8}) {
+      for (const int depth : {0, 2}) {
+        pool.SetNumThreads(threads);
+        NodeClassificationJob job;
+        job.graph = &g;
+        job.num_users = 60;
+        job.kind = kind;
+        job.model_config = SmallModelConfig();
+        job.train_config = QuickTrainConfig();
+        job.train_config.seed = 3;
+        job.train_config.pipeline_depth = depth;
+        job.pretrain_epochs = 2;
+        job.decoder_epochs = 20;
+        const NodeClassificationResult r = RunNodeClassification(job);
+        EXPECT_EQ(r.status, models::ModelStatus::kOk);
+        runs.push_back({BitsOf(r.test_auc), BitsOf(r.accuracy),
+                        BitsOf(r.precision_weighted),
+                        BitsOf(r.recall_weighted), BitsOf(r.f1_weighted)});
+      }
+    }
+    for (size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i], runs[0])
+          << models::ModelKindName(kind) << " config " << i;
+    }
+  }
+  pool.SetNumThreads(original_threads);
 }
 
 }  // namespace
