@@ -220,6 +220,57 @@ inline AggregatedLp RunAggregatedLp(
   return agg;
 }
 
+/// The node-classification runs of one (model, dataset) cell, aggregated
+/// the way RunAggregatedLp aggregates link prediction. A run whose status
+/// is not ok, or that produced no test scores (every annotated NC run
+/// returns before its test pass), still holds the result's defaults —
+/// AUC 0.5, accuracy 0 — so it is left out of the mean and std, and its
+/// annotation is carried to the cell instead.
+class NcCell {
+ public:
+  using Metric = double core::NodeClassificationResult::*;
+
+  void Add(const core::NodeClassificationResult& result) {
+    if (!result.annotation.empty()) annotation_ = result.annotation;
+    if (result.status == models::ModelStatus::kOk &&
+        result.annotation.empty()) {
+      scored_.push_back(result);
+    }
+  }
+
+  /// Mean ± std of `metric` over the scored runs ({0, 0} when none).
+  core::MeanStd Summary(Metric metric) const {
+    std::vector<double> values;
+    for (const core::NodeClassificationResult& r : scored_) {
+      values.push_back(r.*metric);
+    }
+    return core::Summarize(values);
+  }
+
+  /// "mean±std" at four decimals with the annotation appended; the
+  /// annotation alone when no run scored.
+  std::string Format(Metric metric) const { return Cell(metric, true); }
+
+  /// Like Format, without the std (single-run tables).
+  std::string FormatMean(Metric metric) const { return Cell(metric, false); }
+
+ private:
+  std::string Cell(Metric metric, bool with_std) const {
+    if (scored_.empty()) return annotation_;
+    const core::MeanStd ms = Summary(metric);
+    char buf[64];
+    if (with_std) {
+      std::snprintf(buf, sizeof(buf), "%.4f±%.4f", ms.mean, ms.std);
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.4f", ms.mean);
+    }
+    return buf + annotation_;
+  }
+
+  std::vector<core::NodeClassificationResult> scored_;
+  std::string annotation_;
+};
+
 /// Runs `fn(kinds[i], i)` for every model of a sweep concurrently on the
 /// runtime thread pool (one task per model; each job's nested kernel
 /// parallelism degrades to serial inside its worker). Jobs must write only

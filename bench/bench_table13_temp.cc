@@ -38,7 +38,7 @@ int main() {
   for (const char* name : {"Reddit", "Wikipedia", "MOOC"}) {
     const datagen::DatasetSpec* spec = datagen::FindDataset(name);
     graph::TemporalGraph g = bench::LoadBenchmark(*spec, grid);
-    std::vector<double> aucs;
+    bench::NcCell cell;
     core::EfficiencyStats eff;
     for (int run = 0; run < grid.runs; ++run) {
       core::NodeClassificationJob job;
@@ -51,13 +51,12 @@ int main() {
                                                grid, 3000 + run);
       const core::NodeClassificationResult result =
           core::RunNodeClassification(job);
-      aucs.push_back(result.test_auc);
+      cell.Add(result);
       eff = result.efficiency;
     }
-    const core::MeanStd ms = core::Summarize(aucs);
-    std::printf("%-12s AUC %.4f±%.4f  [%.3fs/ep, %d ep, %.2fGB]\n", name,
-                ms.mean, ms.std, eff.seconds_per_epoch, eff.best_epoch + 1,
-                eff.max_rss_gb);
+    std::printf("%-12s AUC %s  [%.3fs/ep, %d ep, %.2fGB]\n", name,
+                cell.Format(&core::NodeClassificationResult::test_auc).c_str(),
+                eff.seconds_per_epoch, eff.best_epoch + 1, eff.max_rss_gb);
   }
   std::printf(
       "\nExpected shape (paper): TeMP is competitive transductively, lags "

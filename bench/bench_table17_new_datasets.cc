@@ -99,9 +99,11 @@ int main() {
       job.model_config = bench::ModelConfigFor(kind, *spec, grid);
       job.train_config = bench::TrainConfigFor(kind, grid, 4000);
       job.pretrain_epochs = bench::IsWalkModel(kind) ? 1 : 3;
-      const core::NodeClassificationResult result =
-          core::RunNodeClassification(job);
-      std::printf("  %s=%.4f", models::ModelKindName(kind), result.test_auc);
+      bench::NcCell cell;
+      cell.Add(core::RunNodeClassification(job));
+      std::printf(
+          "  %s=%s", models::ModelKindName(kind),
+          cell.FormatMean(&core::NodeClassificationResult::test_auc).c_str());
       std::fflush(stdout);
     }
     std::printf("\n");

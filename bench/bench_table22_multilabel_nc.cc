@@ -17,7 +17,7 @@ int main() {
       "Model", "Accuracy", "Precision", "Recall", "F1");
 
   for (models::ModelKind kind : models::PaperModels()) {
-    std::vector<double> acc, precision, recall, f1;
+    bench::NcCell cell;
     for (int run = 0; run < grid.runs; ++run) {
       core::NodeClassificationJob job;
       job.graph = &g;
@@ -26,19 +26,14 @@ int main() {
       job.model_config = bench::ModelConfigFor(kind, *spec, grid);
       job.train_config = bench::TrainConfigFor(kind, grid, 5000 + run);
       job.pretrain_epochs = bench::IsWalkModel(kind) ? 1 : 3;
-      const core::NodeClassificationResult result =
-          core::RunNodeClassification(job);
-      acc.push_back(result.accuracy);
-      precision.push_back(result.precision_weighted);
-      recall.push_back(result.recall_weighted);
-      f1.push_back(result.f1_weighted);
+      cell.Add(core::RunNodeClassification(job));
     }
-    std::printf("%-10s %6.4f±%.4f %6.4f±%.4f %6.4f±%.4f %6.4f±%.4f\n",
-                models::ModelKindName(kind), core::Summarize(acc).mean,
-                core::Summarize(acc).std, core::Summarize(precision).mean,
-                core::Summarize(precision).std,
-                core::Summarize(recall).mean, core::Summarize(recall).std,
-                core::Summarize(f1).mean, core::Summarize(f1).std);
+    using R = core::NodeClassificationResult;
+    std::printf("%-10s %s %s %s %s\n", models::ModelKindName(kind),
+                cell.Format(&R::accuracy).c_str(),
+                cell.Format(&R::precision_weighted).c_str(),
+                cell.Format(&R::recall_weighted).c_str(),
+                cell.Format(&R::f1_weighted).c_str());
     std::fflush(stdout);
   }
   std::printf(

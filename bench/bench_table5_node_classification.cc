@@ -32,7 +32,7 @@ int main() {
     std::printf("%-12s", name);
     EffRow eff_row{name, {}, {}, {}, {}};
     for (size_t m = 0; m < kinds.size(); ++m) {
-      std::vector<double> aucs;
+      bench::NcCell cell;
       core::EfficiencyStats eff;
       for (int run = 0; run < grid.runs; ++run) {
         core::NodeClassificationJob job;
@@ -45,11 +45,12 @@ int main() {
         job.pretrain_epochs = bench::IsWalkModel(kinds[m]) ? 1 : 3;
         const core::NodeClassificationResult result =
             core::RunNodeClassification(job);
-        aucs.push_back(result.test_auc);
+        cell.Add(result);
         eff = result.efficiency;
       }
-      const core::MeanStd ms = core::Summarize(aucs);
-      std::printf("   %.4f±%.4f", ms.mean, ms.std);
+      std::printf("   %s",
+                  cell.Format(&core::NodeClassificationResult::test_auc)
+                      .c_str());
       std::fflush(stdout);
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.3f", eff.seconds_per_epoch);

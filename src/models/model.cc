@@ -70,16 +70,18 @@ TgnnModel::CandidateScorer TgnnModel::MakeCandidateScorer(
               return ScoreEdges(block.srcs, block.dsts, block.ts);
             }};
   }
-  // MergeLayer models: the [n, d] source embedding is computed once, before
-  // the blocks; each block embeds its candidates, tiles the source rows
-  // against them with a row gather and runs the predictor.
-  Var src_emb = ComputeEmbeddings(srcs, ts);
-  return {1, [this, src_emb, k](const PairBlock& block) {
+  // MergeLayer models: the sources are embedded, and their half of the
+  // predictor's first layer computed, once per call, before the blocks;
+  // each block embeds its candidates, tiles the source partials against
+  // them with a row gather and finishes the predictor from there.
+  Var src_partial = predictor_->SourcePartial(ComputeEmbeddings(srcs, ts));
+  return {1, [this, src_partial, k](const PairBlock& block) {
             std::vector<int64_t> tile;
             tile.reserve(block.dsts.size());
             for (int64_t r = block.r0; r < block.r1; ++r) tile.push_back(r / k);
             Var cand_emb = ComputeEmbeddings(block.dsts, block.ts);
-            return predictor_->Forward(GatherRows(src_emb, tile), cand_emb);
+            return predictor_->ForwardFromPartial(GatherRows(src_partial, tile),
+                                                  cand_emb);
           }};
 }
 

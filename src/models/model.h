@@ -121,8 +121,10 @@ class TgnnModel {
   /// about kCandidateBlockRows rows of the tallest intermediate; each block
   /// runs under its own TapeScope and copies its logits out, so no tape
   /// outlives its block and a block's intermediates stay cache-resident.
-  /// MergeLayer models embed each source once per call and tile it against
-  /// each block's candidate embeddings; walk models draw one batch seed
+  /// MergeLayer models embed each source and compute its half of the
+  /// predictor's first layer once per call (MergeLayer::SourcePartial),
+  /// then tile that against each block's candidate embeddings; walk models
+  /// draw one batch seed
   /// per call and key every walk by its pair's global index. Both are
   /// bit-identical to one full-height forward. Models whose draws or
   /// features are not row-separable run the whole call as one block (see
@@ -220,7 +222,8 @@ class TgnnModel {
 
   /// Does the once-per-call work of ScoreCandidates for the n = srcs.size()
   /// source rows and returns its block scorer. The default embeds the
-  /// sources once and scores MergeLayer models in blocks of candidate rows
+  /// sources and computes their MergeLayer partials once, and scores
+  /// MergeLayer models in blocks of candidate rows
   /// (every op on that path is row-separable, and neighbour sampling draws
   /// rng_ in row order); models without a predictor score all pairs
   /// through one flat ScoreEdges call.

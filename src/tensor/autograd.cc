@@ -68,7 +68,56 @@ bool IsColBroadcast(const Tensor& a, const Tensor& b) {
   return b.size() == a.rows() && a.cols() > 1;
 }
 
+/// Backward closure of a product node whose parents `first`, `first + 1`
+/// are A [n, k] and B [k, m]: dA += dOut Bᵀ, dB += Aᵀ dOut. With first = 1
+/// (MatMulAcc) parent 0 is the base, whose gradient is dOut itself.
+std::function<void(VarNode&)> MatMulBackward(size_t first, int64_t n,
+                                             int64_t k, int64_t m) {
+  return [first, n, k, m](VarNode& self) {
+    const float* gp = self.grad.data();
+    if (first == 1 && self.parents[0]->requires_grad) {
+      kernels::Add(self.parents[0]->EnsureGrad().data(), gp, n * m);
+    }
+    VarNode& pa = *self.parents[first];
+    VarNode& pb = *self.parents[first + 1];
+    if (pa.requires_grad) {
+      // dA = dOut * B^T; chunks own disjoint row blocks of dA.
+      kernels::GemmNT(gp, pb.value.data(), pa.EnsureGrad().data(), n, k, m);
+    }
+    if (pb.requires_grad) {
+      // dB = A^T * dOut; blocked over rows of dB (the k dimension), each
+      // accumulating over samples in a fixed serial order.
+      kernels::GemmTN(pa.value.data(), gp, pb.EnsureGrad().data(), n, k, m);
+    }
+  };
+}
+
 }  // namespace
+
+VarNode::~VarNode() {
+  // Releasing a node releases the parents it solely owns, recursively, so
+  // a long chain (a 20k-op test chain, an RNN over a long stream) would
+  // nest one destructor per node and overflow the stack. Past kMaxDepth
+  // nested releases the parents are handed to the outermost destructor on
+  // this thread instead, which releases them in a loop.
+  constexpr int kMaxDepth = 256;
+  static thread_local int depth = 0;
+  static thread_local std::vector<std::shared_ptr<VarNode>> deferred;
+  if (depth >= kMaxDepth) {
+    for (auto& p : parents) deferred.push_back(std::move(p));
+    return;
+  }
+  ++depth;
+  parents.clear();
+  if (depth == 1) {
+    while (!deferred.empty()) {
+      std::shared_ptr<VarNode> node = std::move(deferred.back());
+      deferred.pop_back();
+      node.reset();
+    }
+  }
+  --depth;
+}
 
 Tensor& VarNode::EnsureGrad() {
   if (grad.size() != value.size()) {
@@ -137,7 +186,7 @@ Var Add(const Var& a, const Var& b) {
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
   if (av.SameShape(bv) || av.size() == bv.size()) {
-    Tensor out = kernels::NewTensor(av.shape());
+    Tensor out = kernels::NewWriteOnlyTensor(av.shape());
     const float* ap = av.data();
     const float* bp = bv.data();
     float* op = out.data();
@@ -161,7 +210,7 @@ Var Add(const Var& a, const Var& b) {
   }
   CheckOrDie(IsRowBroadcast(av, bv), "Add: incompatible shapes");
   const int64_t n = av.rows(), d = av.cols();
-  Tensor out = kernels::NewTensor(av.shape());
+  Tensor out = kernels::NewWriteOnlyTensor(av.shape());
   {
     const float* ap = av.data();
     const float* bp = bv.data();
@@ -187,7 +236,7 @@ Var Add(const Var& a, const Var& b) {
 
 Var Sub(const Var& a, const Var& b) {
   CheckOrDie(a->value.size() == b->value.size(), "Sub: shape mismatch");
-  Tensor out = kernels::NewTensor(a->value.shape());
+  Tensor out = kernels::NewWriteOnlyTensor(a->value.shape());
   kernels::SubOut(out.data(), a->value.data(), b->value.data(), out.size());
   return MakeNode("Sub", std::move(out), {a, b}, [](VarNode& self) {
     VarNode& pa = *self.parents[0];
@@ -203,7 +252,7 @@ Var Mul(const Var& a, const Var& b) {
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
   if (av.size() == bv.size()) {
-    Tensor out = kernels::NewTensor(av.shape());
+    Tensor out = kernels::NewWriteOnlyTensor(av.shape());
     const float* ap = av.data();
     const float* bp = bv.data();
     float* op = out.data();
@@ -238,7 +287,7 @@ Var Mul(const Var& a, const Var& b) {
   }
   const int64_t n = av.rows(), d = av.cols();
   if (IsRowBroadcast(av, bv)) {
-    Tensor out = kernels::NewTensor(av.shape());
+    Tensor out = kernels::NewWriteOnlyTensor(av.shape());
     {
       const float* ap = av.data();
       const float* bp = bv.data();
@@ -268,7 +317,7 @@ Var Mul(const Var& a, const Var& b) {
     });
   }
   CheckOrDie(IsColBroadcast(av, bv), "Mul: incompatible shapes");
-  Tensor out = kernels::NewTensor(av.shape());
+  Tensor out = kernels::NewWriteOnlyTensor(av.shape());
   {
     const float* ap = av.data();
     const float* bp = bv.data();
@@ -299,7 +348,7 @@ Var Mul(const Var& a, const Var& b) {
 }
 
 Var ScalarMul(const Var& a, float s) {
-  Tensor out = kernels::NewTensor(a->value.shape());
+  Tensor out = kernels::NewWriteOnlyTensor(a->value.shape());
   kernels::ScaleOut(out.data(), s, a->value.data(), out.size());
   return MakeNode("ScalarMul", std::move(out), {a}, [s](VarNode& self) {
     VarNode& p = *self.parents[0];
@@ -310,7 +359,7 @@ Var ScalarMul(const Var& a, float s) {
 }
 
 Var ScalarAdd(const Var& a, float s) {
-  Tensor out = kernels::NewTensor(a->value.shape());
+  Tensor out = kernels::NewWriteOnlyTensor(a->value.shape());
   kernels::AddScalarOut(out.data(), s, a->value.data(), out.size());
   return MakeNode("ScalarAdd", std::move(out), {a}, [](VarNode& self) {
     VarNode& p = *self.parents[0];
@@ -329,32 +378,37 @@ Var MatMul(const Var& a, const Var& b) {
   CheckOrDie(av.rank() == 2 && bv.rank() == 2, "MatMul: rank-2 required");
   const int64_t n = av.shape()[0], k = av.shape()[1], m = bv.shape()[1];
   CheckOrDie(bv.shape()[0] == k, "MatMul: inner dimension mismatch");
-  Tensor out = kernels::NewTensor({n, m});
+  Tensor out = kernels::NewWriteOnlyTensor({n, m});
   // Cache-blocked, register-tiled GEMM; row-blocked over the output via
   // the shared RowGrain policy, so writes are disjoint per chunk and
   // results are thread-count independent.
-  kernels::Gemm(av.data(), bv.data(), out.data(), n, k, m);
-  return MakeNode("MatMul", std::move(out), {a, b}, [n, k, m](VarNode& self) {
-    VarNode& pa = *self.parents[0];
-    VarNode& pb = *self.parents[1];
-    const float* gp = self.grad.data();
-    if (pa.requires_grad) {
-      // dA = dOut * B^T; chunks own disjoint row blocks of dA.
-      kernels::GemmNT(gp, pb.value.data(), pa.EnsureGrad().data(), n, k, m);
-    }
-    if (pb.requires_grad) {
-      // dB = A^T * dOut; blocked over rows of dB (the k dimension), each
-      // accumulating over samples in a fixed serial order.
-      kernels::GemmTN(pa.value.data(), gp, pb.EnsureGrad().data(), n, k, m);
-    }
-  });
+  kernels::GemmOut(av.data(), bv.data(), out.data(), n, k, m);
+  return MakeNode("MatMul", std::move(out), {a, b}, MatMulBackward(0, n, k, m));
+}
+
+Var MatMulAcc(const Var& base, const Var& a, const Var& w) {
+  const Tensor& av = a->value;
+  const Tensor& wv = w->value;
+  CheckOrDie(av.rank() == 2 && wv.rank() == 2, "MatMulAcc: rank-2 required");
+  const int64_t n = av.shape()[0], k = av.shape()[1], m = wv.shape()[1];
+  CheckOrDie(wv.shape()[0] == k, "MatMulAcc: inner dimension mismatch");
+  CheckOrDie(base->value.rank() == 2 && base->value.shape()[0] == n &&
+                 base->value.shape()[1] == m,
+             "MatMulAcc: base shape mismatch");
+  Tensor out = kernels::NewWriteOnlyTensor({n, m});
+  // Gemm loads each C element and keeps adding to it in increasing depth
+  // order, so starting C at `base` continues base's accumulation chain.
+  kernels::Set(out.data(), base->value.data(), n * m);
+  kernels::Gemm(av.data(), wv.data(), out.data(), n, k, m);
+  return MakeNode("MatMulAcc", std::move(out), {base, a, w},
+                  MatMulBackward(1, n, k, m));
 }
 
 Var Transpose(const Var& a) {
   const Tensor& av = a->value;
   CheckOrDie(av.rank() == 2, "Transpose: rank-2 required");
   const int64_t n = av.shape()[0], m = av.shape()[1];
-  Tensor out = kernels::NewTensor({m, n});
+  Tensor out = kernels::NewWriteOnlyTensor({m, n});
   {
     const float* ap = av.data();
     float* op = out.data();
@@ -379,7 +433,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
     CheckOrDie(p->value.rows() == n, "ConcatCols: row count mismatch");
     total += p->value.cols();
   }
-  Tensor out = kernels::NewTensor({n, total});
+  Tensor out = kernels::NewWriteOnlyTensor({n, total});
   int64_t offset = 0;
   std::vector<int64_t> widths;
   for (const Var& p : parts) {
@@ -419,7 +473,7 @@ Var ConcatRows(const std::vector<Var>& parts) {
     CheckOrDie(p->value.cols() == d, "ConcatRows: column count mismatch");
     total += p->value.rows();
   }
-  Tensor out = kernels::NewTensor({total, d});
+  Tensor out = kernels::NewWriteOnlyTensor({total, d});
   int64_t offset = 0;
   std::vector<int64_t> heights;
   for (const Var& p : parts) {
@@ -450,7 +504,7 @@ Var SliceCols(const Var& a, int64_t start, int64_t len) {
   CheckOrDie(av.rank() == 2, "SliceCols: rank-2 required");
   const int64_t n = av.shape()[0], d = av.shape()[1];
   CheckOrDie(start >= 0 && start + len <= d, "SliceCols: out of range");
-  Tensor out = kernels::NewTensor({n, len});
+  Tensor out = kernels::NewWriteOnlyTensor({n, len});
   {
     const float* ap = av.data();
     float* op = out.data();
@@ -476,7 +530,7 @@ Var SliceRows(const Var& a, int64_t start, int64_t len) {
   const int64_t d = av.shape()[1];
   CheckOrDie(start >= 0 && start + len <= av.shape()[0],
              "SliceRows: out of range");
-  Tensor out = kernels::NewTensor({len, d});
+  Tensor out = kernels::NewWriteOnlyTensor({len, d});
   kernels::Set(out.data(), av.data() + start * d, len * d);
   return MakeNode("SliceRows", std::move(out), {a},
                   [d, start, len](VarNode& self) {
@@ -491,7 +545,7 @@ Var Reshape(const Var& a, std::vector<int64_t> shape) {
   int64_t volume = 1;
   for (int64_t s : shape) volume *= s;
   CheckOrDie(volume == a->value.size(), "Reshape: volume mismatch");
-  Tensor out = kernels::NewTensor(std::move(shape));
+  Tensor out = kernels::NewWriteOnlyTensor(std::move(shape));
   kernels::Set(out.data(), a->value.data(), out.size());
   return MakeNode("Reshape", std::move(out), {a}, [](VarNode& self) {
     VarNode& p = *self.parents[0];
@@ -505,7 +559,7 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
   CheckOrDie(tv.rank() == 2, "GatherRows: rank-2 table required");
   const int64_t d = tv.shape()[1];
   const int64_t n = static_cast<int64_t>(indices.size());
-  Tensor out = kernels::NewTensor({n, d});
+  Tensor out = kernels::NewWriteOnlyTensor({n, d});
   {
     const float* tp = tv.data();
     float* op = out.data();
@@ -542,7 +596,7 @@ namespace {
 /// nothing extra.)
 template <typename Fwd, typename Bwd>
 Var Unary(const char* op_name, const Var& a, Fwd fwd, Bwd bwd) {
-  Tensor out = kernels::NewTensor(a->value.shape());
+  Tensor out = kernels::NewWriteOnlyTensor(a->value.shape());
   const float* ap = a->value.data();
   float* op = out.data();
   runtime::ParallelFor(0, out.size(), kElementwiseGrain,
@@ -567,7 +621,7 @@ Var Unary(const char* op_name, const Var& a, Fwd fwd, Bwd bwd) {
 }  // namespace
 
 Var Sigmoid(const Var& a) {
-  Tensor out = kernels::NewTensor(a->value.shape());
+  Tensor out = kernels::NewWriteOnlyTensor(a->value.shape());
   const float* ap = a->value.data();
   float* op = out.data();
   kernels::CountFlops(4 * out.size());
@@ -620,7 +674,7 @@ Var Sin(const Var& a) {
 
 Var Sum(const Var& a) {
   kernels::CountFlops(a->value.size());
-  Tensor out = kernels::NewTensor({1});
+  Tensor out = kernels::NewWriteOnlyTensor({1});
   out.at(0) = kernels::ReduceSum(a->value.data(), a->value.size());
   return MakeNode("Sum", std::move(out), {a}, [](VarNode& self) {
     VarNode& p = *self.parents[0];
@@ -672,7 +726,7 @@ Var SoftmaxImpl(const Var& a, const Tensor* mask) {
   if (mask != nullptr) {
     CheckOrDie(mask->size() == n * d, "MaskedSoftmaxRows: mask size");
   }
-  Tensor out = kernels::NewTensor({n, d});
+  Tensor out = kernels::NewWriteOnlyTensor({n, d});
   const float* ap = av.data();
   const float* mp = mask != nullptr ? mask->data() : nullptr;
   float* op = out.data();
@@ -718,7 +772,7 @@ Var BceWithLogits(const Var& logits, const Tensor& targets) {
   const int64_t n = lv.size();
   CheckOrDie(n > 0, "BceWithLogits: empty input");
   kernels::CountFlops(8 * n);
-  Tensor out = kernels::NewTensor({1});
+  Tensor out = kernels::NewWriteOnlyTensor({1});
   out.at(0) = kernels::BceForwardMean(lv.data(), targets.data(), n);
   Tensor saved_targets = targets;
   return MakeNode("BceWithLogits", std::move(out), {logits},
@@ -752,7 +806,7 @@ Var SoftmaxCrossEntropy(const Var& logits,
     CheckOrDie(y >= 0 && y < c_dim, "SoftmaxCrossEntropy: label range");
     total -= std::log(std::max(probs.at(r, y), 1e-12f));
   }
-  Tensor out = kernels::NewTensor({1});
+  Tensor out = kernels::NewWriteOnlyTensor({1});
   out.at(0) = total / static_cast<float>(n);
   return MakeNode(
       "SoftmaxCrossEntropy", std::move(out), {logits},
@@ -782,7 +836,7 @@ Var MseLoss(const Var& pred, const Tensor& target) {
     const float diff = pp[i] - tp[i];
     total += diff * diff;
   }
-  Tensor out = kernels::NewTensor({1});
+  Tensor out = kernels::NewWriteOnlyTensor({1});
   out.at(0) = total / static_cast<float>(n);
   Tensor saved = target;
   return MakeNode("MseLoss", std::move(out), {pred}, [n, saved](VarNode& self) {
@@ -807,7 +861,7 @@ Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys) {
   const int64_t b = qv.shape()[0], d = qv.shape()[1];
   CheckOrDie(kv.shape()[0] == b * num_keys && kv.shape()[1] == d,
              "BatchDot: key block shape");
-  Tensor out = kernels::NewTensor({b, num_keys});
+  Tensor out = kernels::NewWriteOnlyTensor({b, num_keys});
   {
     const float* qp = qv.data();
     const float* kp = kv.data();

@@ -36,6 +36,10 @@ struct VarNode {
 
   /// Ensures `grad` is allocated (zero-filled) with `value`'s shape.
   Tensor& EnsureGrad();
+
+  /// Releases the parents without nesting one destructor per node of a
+  /// long chain (see autograd.cc).
+  ~VarNode();
 };
 
 using Var = std::shared_ptr<VarNode>;
@@ -85,6 +89,11 @@ Var ScalarAdd(const Var& a, float s);
 
 /// Matrix product of a [n, k] and b [k, m] -> [n, m].
 Var MatMul(const Var& a, const Var& b);
+/// base + a w for base [n, m], a [n, k], w [k, m]. Every output element
+/// continues base's accumulation chain over w's rows in increasing depth
+/// order, so MatMulAcc(MatMul(x, W[:p]), y, W[p:]) equals
+/// MatMul(ConcatCols({x, y}), W) bit for bit.
+Var MatMulAcc(const Var& base, const Var& a, const Var& w);
 /// Transpose of a rank-2 tensor.
 Var Transpose(const Var& a);
 /// Concatenates rank-2 tensors along columns; all must share the row count.

@@ -273,7 +273,7 @@ Compiled Compile(const NodePtr& root) {
 Var Fuse(const NodePtr& root) {
   Compiled c = Compile(root);
   const std::shared_ptr<Program>& prog = c.program;
-  Tensor out = kernels::NewTensor(root->shape);
+  Tensor out = kernels::NewWriteOnlyTensor(root->shape);
   std::vector<const float*> inputs(c.leaves.size());
   bool any_grad = false;
   for (size_t i = 0; i < c.leaves.size(); ++i) {

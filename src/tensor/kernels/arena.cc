@@ -123,17 +123,39 @@ TapeScope::~TapeScope() {
   arena.Rewind(mark_);
 }
 
-Tensor NewTensor(std::vector<int64_t> shape) {
-  int64_t volume = 1;
+namespace {
+
+/// The shape's volume and an arena span for it, or nullptr when the
+/// caller must fall back to (zero-filled) heap storage.
+float* AllocFor(const std::vector<int64_t>& shape, int64_t* volume) {
+  *volume = 1;
   for (int64_t d : shape) {
     CheckOrDie(d >= 0, "NewTensor: negative tensor dimension");
-    volume *= d;
+    *volume *= d;
   }
-  float* span = Arena::ThreadLocal().Alloc(volume);
+  return Arena::ThreadLocal().Alloc(*volume);
+}
+
+}  // namespace
+
+Tensor NewTensor(std::vector<int64_t> shape) {
+  int64_t volume = 0;
+  float* span = AllocFor(shape, &volume);
   if (span == nullptr) return Tensor(std::move(shape));
   // Zero-fill: arena memory is recycled across batches, and grads as well
   // as sparse-writing ops rely on zero-initialized output.
   std::memset(span, 0, static_cast<size_t>(volume) * sizeof(float));
+  return ArenaAccess::Adopt(std::move(shape), span, volume);
+}
+
+Tensor NewWriteOnlyTensor(std::vector<int64_t> shape) {
+  int64_t volume = 0;
+  float* span = AllocFor(shape, &volume);
+  if (span == nullptr) return Tensor(std::move(shape));
+  // No clear: the op overwrites every element. Under BENCHTEMP_CHECK the
+  // span starts as quiet NaNs, so an element the op forgot to write
+  // surfaces loudly instead of leaking a previous batch's value.
+  if (debug_check::Enabled()) Poison(span, volume);
   return ArenaAccess::Adopt(std::move(shape), span, volume);
 }
 

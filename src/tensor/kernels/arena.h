@@ -34,6 +34,10 @@ namespace benchtemp::tensor::kernels {
 //   - Under BENCHTEMP_CHECK=1 the rewound region is poisoned with quiet
 //     NaNs, so any read through a stale arena tensor surfaces loudly —
 //     the dynamic counterpart of the tape validator's released-grad poison.
+//   - Two allocation kinds: `NewTensor` zero-fills its span (grads and
+//     accumulate-style outputs add into it); `NewWriteOnlyTensor` hands
+//     the span out uncleared, for ops that overwrite every element, and
+//     NaN-poisons it under BENCHTEMP_CHECK so a missed element is loud.
 //
 // Disable with BENCHTEMP_ARENA=0 (every NewTensor then falls back to heap
 // storage); results are bit-identical either way, asserted by the kernel
@@ -110,9 +114,17 @@ void SetArenaEnabledForTest(int enabled);
 
 /// A zero-filled tensor of `shape`, arena-backed when the calling thread
 /// has an open TapeScope and the arena is enabled, heap-backed otherwise.
-/// The autograd layer allocates every op output and interior grad through
-/// this.
+/// The autograd layer allocates interior grads, fused-backward stages and
+/// the outputs of accumulate-style ops (BatchWeightedSum, MeanRows)
+/// through this.
 Tensor NewTensor(std::vector<int64_t> shape);
+
+/// Like NewTensor, but the arena span is not cleared: for op outputs whose
+/// every element the op writes (elementwise, shape, gather, softmax,
+/// BatchDot, fused and MatMul outputs). Under BENCHTEMP_CHECK the span is
+/// NaN-poisoned instead, so an element left unwritten reads as NaN. The
+/// heap fallback (no open scope, or BENCHTEMP_ARENA=0) stays zero-filled.
+Tensor NewWriteOnlyTensor(std::vector<int64_t> shape);
 
 /// Grants the arena access to Tensor's private adopt-a-span constructor.
 class ArenaAccess {

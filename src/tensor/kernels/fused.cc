@@ -315,7 +315,7 @@ void Forward(const Program& p, const float* const* inputs, float* out,
     for (size_t i = 0; i < p.instrs.size(); ++i) {
       if (SelfValued(p.instrs[i].op)) {
         stash->stash_of[i] = static_cast<int32_t>(stash->bufs.size());
-        stash->bufs.push_back(NewTensor({p.rows, p.cols}));
+        stash->bufs.push_back(NewWriteOnlyTensor({p.rows, p.cols}));
       }
     }
     if (stash->bufs.empty()) stash = nullptr;

@@ -67,14 +67,22 @@ BENCHTEMP_TILE_INLINE void StoreFrom(float* p, const V& v) {
 /// depth loop: c(r, :) += a(r, p) * b(p, :) for p = 0, 1, ..., depth - 1.
 /// a(r, p) is a[r * ars + p * aps], B row p is b + p * m, C row r is
 /// c + r * m. Each C element accumulates in strictly increasing p order.
-template <class V, int R, int NV>
+/// With kAssign the accumulators start at +0.0 instead of loading C (the
+/// value a zero-filled C would load), so C is only written.
+template <class V, int R, int NV, bool kAssign>
 BENCHTEMP_TILE_INLINE void Tile(const float* a, int64_t ars, int64_t aps,
                                 const float* b, float* c, int64_t depth,
                                 int64_t m) {
   constexpr int64_t w = kWidth<V>;
   V acc[R][NV];
   for (int r = 0; r < R; ++r) {
-    for (int v = 0; v < NV; ++v) LoadTo(acc[r][v], c + r * m + v * w);
+    for (int v = 0; v < NV; ++v) {
+      if constexpr (kAssign) {
+        acc[r][v] = V{};
+      } else {
+        LoadTo(acc[r][v], c + r * m + v * w);
+      }
+    }
   }
   for (int64_t p = 0; p < depth; ++p) {
     const float* brow = b + p * m;
@@ -92,23 +100,23 @@ BENCHTEMP_TILE_INLINE void Tile(const float* a, int64_t ars, int64_t aps,
 
 /// Rows [i0, i1) of one column panel [j, j + NV * width): kMr-row tiles,
 /// then single-row tiles for the remainder.
-template <class V, int NV>
+template <class V, int NV, bool kAssign>
 BENCHTEMP_TILE_INLINE void TilePanel(const float* a, int64_t ars,
                                      int64_t aps, const float* b, float* c,
                                      int64_t i0, int64_t i1, int64_t depth,
                                      int64_t m, int64_t j) {
   int64_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    Tile<V, kMr, NV>(a + i * ars, ars, aps, b + j, c + i * m + j, depth, m);
+    Tile<V, kMr, NV, kAssign>(a + i * ars, ars, aps, b + j, c + i * m + j, depth, m);
   }
   for (; i < i1; ++i) {
-    Tile<V, 1, NV>(a + i * ars, ars, aps, b + j, c + i * m + j, depth, m);
+    Tile<V, 1, NV, kAssign>(a + i * ars, ars, aps, b + j, c + i * m + j, depth, m);
   }
 }
 
 /// Covers columns [j, m) with panels of 3, 2, then 1 vector of V while
 /// they fit, and returns the first column left for a narrower lane type.
-template <class V>
+template <class V, bool kAssign>
 BENCHTEMP_TILE_INLINE int64_t TileColumns(const float* a, int64_t ars,
                                           int64_t aps, const float* b,
                                           float* c, int64_t i0, int64_t i1,
@@ -116,14 +124,14 @@ BENCHTEMP_TILE_INLINE int64_t TileColumns(const float* a, int64_t ars,
                                           int64_t j) {
   constexpr int64_t w = kWidth<V>;
   for (; j + kMaxNv * w <= m; j += kMaxNv * w) {
-    TilePanel<V, kMaxNv>(a, ars, aps, b, c, i0, i1, depth, m, j);
+    TilePanel<V, kMaxNv, kAssign>(a, ars, aps, b, c, i0, i1, depth, m, j);
   }
   if (j + 2 * w <= m) {
-    TilePanel<V, 2>(a, ars, aps, b, c, i0, i1, depth, m, j);
+    TilePanel<V, 2, kAssign>(a, ars, aps, b, c, i0, i1, depth, m, j);
     j += 2 * w;
   }
   if (j + w <= m) {
-    TilePanel<V, 1>(a, ars, aps, b, c, i0, i1, depth, m, j);
+    TilePanel<V, 1, kAssign>(a, ars, aps, b, c, i0, i1, depth, m, j);
     j += w;
   }
   return j;
@@ -178,17 +186,24 @@ BENCHTEMP_TILE_INLINE int64_t NtColumns(const float* dcrow, const float* bt,
 /// Rows [i0, i1) of a tile-family product, one kKc depth block at a time
 /// (each C element still accumulates in increasing depth order), covering
 /// the columns with the widest lane type first and narrower ones after.
+/// `assign` starts the first depth block from +0.0 instead of C (GemmOut).
 template <class... Lanes>
 BENCHTEMP_TILE_INLINE void TileChunk(const float* a, int64_t ars,
                                      int64_t aps, const float* b, float* c,
                                      int64_t i0, int64_t i1, int64_t depth,
-                                     int64_t m) {
+                                     int64_t m, bool assign) {
   for (int64_t p0 = 0; p0 < depth; p0 += kKc) {
     const int64_t d = std::min(kKc, depth - p0);
+    const float* ap = a + p0 * aps;
+    const float* bp = b + p0 * m;
     int64_t j = 0;
-    ((j = TileColumns<Lanes>(a + p0 * aps, ars, aps, b + p0 * m, c, i0, i1,
-                             d, m, j)),
-     ...);
+    if (assign && p0 == 0) {
+      ((j = TileColumns<Lanes, true>(ap, ars, aps, bp, c, i0, i1, d, m, j)),
+       ...);
+    } else {
+      ((j = TileColumns<Lanes, false>(ap, ars, aps, bp, c, i0, i1, d, m, j)),
+       ...);
+    }
   }
 }
 
@@ -208,8 +223,8 @@ BENCHTEMP_TILE_INLINE void NtChunk(const float* dc, const float* bt,
 BENCHTEMP_NO_VECTORIZE
 void TileChunkScalar(const float* a, int64_t ars, int64_t aps,
                      const float* b, float* c, int64_t i0, int64_t i1,
-                     int64_t depth, int64_t m) {
-  TileChunk<float>(a, ars, aps, b, c, i0, i1, depth, m);
+                     int64_t depth, int64_t m, bool assign) {
+  TileChunk<float>(a, ars, aps, b, c, i0, i1, depth, m, assign);
 }
 
 BENCHTEMP_NO_VECTORIZE
@@ -220,8 +235,8 @@ void NtChunkScalar(const float* dc, const float* bt, float* da, int64_t i0,
 
 void TileChunkSse2(const float* a, int64_t ars, int64_t aps, const float* b,
                    float* c, int64_t i0, int64_t i1, int64_t depth,
-                   int64_t m) {
-  TileChunk<F32x4, float>(a, ars, aps, b, c, i0, i1, depth, m);
+                   int64_t m, bool assign) {
+  TileChunk<F32x4, float>(a, ars, aps, b, c, i0, i1, depth, m, assign);
 }
 
 void NtChunkSse2(const float* dc, const float* bt, float* da, int64_t i0,
@@ -229,11 +244,13 @@ void NtChunkSse2(const float* dc, const float* bt, float* da, int64_t i0,
   NtChunk<F32x4, float>(dc, bt, da, i0, i1, k, m);
 }
 
-/// The chunk bodies of one ISA level. `tile` serves Gemm (A row-strided)
-/// and GemmTN (A column-strided); `nt` serves GemmNT over the packed Bᵀ.
+/// The chunk bodies of one ISA level. `tile` serves Gemm and GemmOut (A
+/// row-strided) and GemmTN (A column-strided); `nt` serves GemmNT over the
+/// packed Bᵀ.
 struct GemmImpl {
   void (*tile)(const float* a, int64_t ars, int64_t aps, const float* b,
-               float* c, int64_t i0, int64_t i1, int64_t depth, int64_t m);
+               float* c, int64_t i0, int64_t i1, int64_t depth, int64_t m,
+               bool assign);
   void (*nt)(const float* dc, const float* bt, float* da, int64_t i0,
              int64_t i1, int64_t k, int64_t m);
 };
@@ -244,8 +261,9 @@ constexpr GemmImpl kSse2Impl{TileChunkSse2, NtChunkSse2};
 #if defined(__x86_64__) || defined(__i386__)
 __attribute__((target("avx2"))) void TileChunkAvx2(
     const float* a, int64_t ars, int64_t aps, const float* b, float* c,
-    int64_t i0, int64_t i1, int64_t depth, int64_t m) {
-  TileChunk<F32x8, F32x4, float>(a, ars, aps, b, c, i0, i1, depth, m);
+    int64_t i0, int64_t i1, int64_t depth, int64_t m, bool assign) {
+  TileChunk<F32x8, F32x4, float>(a, ars, aps, b, c, i0, i1, depth, m,
+                                 assign);
 }
 
 __attribute__((target("avx2"))) void NtChunkAvx2(const float* dc,
@@ -311,7 +329,22 @@ void Gemm(const float* a, const float* b, float* c, int64_t n, int64_t k,
   const GemmImpl& impl = ActiveImpl();
   runtime::ParallelFor(0, n, runtime::RowGrain(k * m),
                        [&](int64_t i0, int64_t i1) {
-                         impl.tile(a, k, 1, b, c, i0, i1, k, m);
+                         impl.tile(a, k, 1, b, c, i0, i1, k, m, false);
+                       });
+}
+
+void GemmOut(const float* a, const float* b, float* c, int64_t n, int64_t k,
+             int64_t m) {
+  if (k == 0) {
+    // No depth block runs, so nothing would write C.
+    FillOut(c, 0.0f, n * m);
+    return;
+  }
+  CountFlops(2 * n * k * m);
+  const GemmImpl& impl = ActiveImpl();
+  runtime::ParallelFor(0, n, runtime::RowGrain(k * m),
+                       [&](int64_t i0, int64_t i1) {
+                         impl.tile(a, k, 1, b, c, i0, i1, k, m, true);
                        });
 }
 
@@ -340,7 +373,7 @@ void GemmTN(const float* a, const float* dc, float* db, int64_t n, int64_t k,
   // the n samples, and dC plays B's role.
   runtime::ParallelFor(0, k, runtime::RowGrain(n * m),
                        [&](int64_t l0, int64_t l1) {
-                         impl.tile(a, 1, k, dc, db, l0, l1, n, m);
+                         impl.tile(a, 1, k, dc, db, l0, l1, n, m, false);
                        });
 }
 

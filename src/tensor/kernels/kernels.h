@@ -32,13 +32,20 @@
 namespace benchtemp::tensor::kernels {
 
 // ---------------------------------------------------------------------------
-// GEMM family (row-major, contiguous; output is accumulated into, so
-// callers zero-fill for plain assignment). Parallel over output rows.
+// GEMM family (row-major, contiguous). Gemm, GemmNT and GemmTN accumulate
+// into their output; GemmOut assigns it. Parallel over output rows.
 // ---------------------------------------------------------------------------
 
 /// C[n,m] += A[n,k] * B[k,m].
 void Gemm(const float* a, const float* b, float* c, int64_t n, int64_t k,
           int64_t m);
+
+/// C[n,m] = A[n,k] * B[k,m], never reading C (it may hold anything, NaN
+/// included). The first depth block starts its register accumulators at
+/// +0.0 where Gemm loads C, so the result is bit-identical to Gemm into a
+/// zero-filled C.
+void GemmOut(const float* a, const float* b, float* c, int64_t n, int64_t k,
+             int64_t m);
 
 /// dA[n,k] += dC[n,m] * B[k,m]^T — the MatMul backward pass for A. Each
 /// dA entry is Dot()'s striped-lane dot of a dC row and a B row.

@@ -35,6 +35,17 @@ expr::Ex Linear::ForwardEx(const Var& x) const {
   return y;
 }
 
+Var Linear::PartialProduct(const Var& x, int64_t row0) const {
+  return MatMul(x, SliceRows(weight_, row0, x->value.cols()));
+}
+
+expr::Ex Linear::ForwardExFrom(const Var& partial, const Var& x,
+                               int64_t row0) const {
+  expr::Ex y(MatMulAcc(partial, x, SliceRows(weight_, row0, x->value.cols())));
+  if (bias_ != nullptr) y = expr::Add(y, expr::Ex(bias_));
+  return y;
+}
+
 std::vector<Var> Linear::Parameters() const {
   std::vector<Var> params = {weight_};
   if (bias_ != nullptr) params.push_back(bias_);
@@ -80,11 +91,21 @@ std::vector<Var> Mlp::Parameters() const {
 
 MergeLayer::MergeLayer(int64_t dim_a, int64_t dim_b, int64_t hidden,
                        int64_t out, Rng& rng)
-    : fc1_(dim_a + dim_b, hidden, rng), fc2_(hidden, out, rng) {}
+    : dim_a_(dim_a),
+      fc1_(dim_a + dim_b, hidden, rng),
+      fc2_(hidden, out, rng) {}
 
 Var MergeLayer::Forward(const Var& a, const Var& b) const {
   Var joined = ConcatCols({a, b});
   return fc2_.Forward(expr::Relu(fc1_.ForwardEx(joined)));
+}
+
+Var MergeLayer::SourcePartial(const Var& a) const {
+  return fc1_.PartialProduct(a, 0);
+}
+
+Var MergeLayer::ForwardFromPartial(const Var& partial, const Var& b) const {
+  return fc2_.Forward(expr::Relu(fc1_.ForwardExFrom(partial, b, dim_a_)));
 }
 
 std::vector<Var> MergeLayer::Parameters() const {

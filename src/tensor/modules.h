@@ -35,6 +35,15 @@ class Linear : public Module {
   /// chaining elementwise ops (activation, gate sums) into one fused pass
   /// instead of materializing a tape node per op.
   expr::Ex ForwardEx(const Var& x) const;
+  /// x W[row0 : row0 + x.cols], no bias: the share of the product that
+  /// the input columns [row0, row0 + x.cols) contribute.
+  Var PartialProduct(const Var& x, int64_t row0) const;
+  /// ForwardEx finished from a partial product over the input columns
+  /// before row0: partial + x W[row0 :] + b, where x holds the remaining
+  /// columns. With partial = PartialProduct(y, 0) and row0 = y.cols this is
+  /// bit-identical to ForwardEx(ConcatCols({y, x})).
+  expr::Ex ForwardExFrom(const Var& partial, const Var& x,
+                         int64_t row0) const;
   std::vector<Var> Parameters() const override;
 
   int64_t in_dim() const { return in_dim_; }
@@ -68,9 +77,17 @@ class MergeLayer : public Module {
              Rng& rng);
 
   Var Forward(const Var& a, const Var& b) const;
+  /// a W1[0 : dim_a]: the `a` half of the first layer, which a caller
+  /// scoring one `a` row against many `b` rows computes once per row.
+  Var SourcePartial(const Var& a) const;
+  /// Forward from SourcePartial rows, one per `b` row (gathered to match):
+  /// bit-identical to Forward(a, b) on the rows the partials came from,
+  /// without the [n, dim_a + dim_b] concat or the `a` half's FLOPs.
+  Var ForwardFromPartial(const Var& partial, const Var& b) const;
   std::vector<Var> Parameters() const override;
 
  private:
+  int64_t dim_a_;
   Linear fc1_;
   Linear fc2_;
 };

@@ -84,6 +84,43 @@ TEST(AutogradTest, MatMulValue) {
   EXPECT_FLOAT_EQ(c->value.at(1, 1), 50.0f);
 }
 
+TEST(AutogradTest, MatMulAccBackward) {
+  Rng rng(24);
+  Var base = Parameter(Tensor::Randn({3, 2}, rng));
+  Var a = Parameter(Tensor::Randn({3, 4}, rng));
+  Var w = Parameter(Tensor::Randn({4, 2}, rng));
+  auto loss = [&] { return Sum(Mul(MatMulAcc(base, a, w), base)); };
+  CheckGradient(base, loss);
+  CheckGradient(a, loss);
+  CheckGradient(w, loss);
+}
+
+/// The factored first layer: a partial product over W's first p rows,
+/// finished by MatMulAcc over the rest, is the unsplit product bit for
+/// bit — including depths over the GEMM's kKc = 256 depth block.
+TEST(AutogradTest, MatMulAccContinuesTheSplitProductBitwise) {
+  struct Split {
+    int64_t n, p, q, m;
+  };
+  for (const Split& s : {Split{37, 24, 24, 24}, Split{1, 24, 24, 24},
+                         Split{9, 300, 7, 24}, Split{5, 200, 150, 19},
+                         Split{13, 3, 290, 17}}) {
+    Rng rng(static_cast<uint64_t>(s.n * 1000 + s.p));
+    Var x = Constant(Tensor::Randn({s.n, s.p}, rng));
+    Var y = Constant(Tensor::Randn({s.n, s.q}, rng));
+    Var w = Parameter(Tensor::Randn({s.p + s.q, s.m}, rng));
+    const Tensor whole = MatMul(ConcatCols({x, y}), w)->value;
+    const Tensor split =
+        MatMulAcc(MatMul(x, SliceRows(w, 0, s.p)), y, SliceRows(w, s.p, s.q))
+            ->value;
+    ASSERT_EQ(whole.size(), split.size());
+    EXPECT_EQ(std::memcmp(whole.data(), split.data(),
+                          static_cast<size_t>(whole.size()) * sizeof(float)),
+              0)
+        << s.n << "x(" << s.p << "+" << s.q << ")x" << s.m;
+  }
+}
+
 TEST(AutogradTest, ConcatSliceBackward) {
   Rng rng(5);
   Var a = Parameter(Tensor::Randn({3, 2}, rng));

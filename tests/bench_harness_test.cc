@@ -111,5 +111,44 @@ TEST(BenchHarnessTest, AggregatedLpPropagatesAnnotation) {
   EXPECT_EQ(agg.annotation, "*");  // the paper's UNTrade runtime error
 }
 
+core::NodeClassificationResult NcRun(double auc, double accuracy,
+                                     const char* annotation = "") {
+  core::NodeClassificationResult r;
+  r.test_auc = auc;
+  r.accuracy = accuracy;
+  r.annotation = annotation;
+  if (r.annotation == "*") r.status = models::ModelStatus::kRuntimeError;
+  return r;
+}
+
+TEST(BenchHarnessTest, NcCellSkipsFailedRunsAndCarriesAnnotation) {
+  using R = core::NodeClassificationResult;
+  NcCell clean;
+  clean.Add(NcRun(0.8, 0.6));
+  clean.Add(NcRun(0.6, 0.4));
+  EXPECT_EQ(clean.Format(&R::test_auc), "0.7000±0.1414");
+  EXPECT_EQ(clean.FormatMean(&R::accuracy), "0.5000");
+
+  // A planted "x" run (budget exhausted, no test pass) keeps the result's
+  // defaults, AUC 0.5 and accuracy 0: they must not move the mean or std.
+  NcCell planted;
+  planted.Add(NcRun(0.8, 0.6));
+  planted.Add(NcRun(0.5, 0.0, "x"));
+  planted.Add(NcRun(0.6, 0.4));
+  EXPECT_EQ(planted.Summary(&R::test_auc).mean,
+            clean.Summary(&R::test_auc).mean);
+  EXPECT_EQ(planted.Summary(&R::test_auc).std,
+            clean.Summary(&R::test_auc).std);
+  EXPECT_EQ(planted.Format(&R::test_auc), "0.7000±0.1414x");
+  EXPECT_EQ(planted.FormatMean(&R::accuracy), "0.5000x");
+
+  // A runtime-error run is skipped too; with no scored run the cell is
+  // the annotation alone.
+  NcCell failed;
+  failed.Add(NcRun(0.5, 0.0, "*"));
+  EXPECT_EQ(failed.Format(&R::test_auc), "*");
+  EXPECT_EQ(failed.FormatMean(&R::test_auc), "*");
+}
+
 }  // namespace
 }  // namespace benchtemp::bench

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "models/factory.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
+#include "tensor/autograd.h"
 #include "tensor/debug_check.h"
 #include "tensor/expr.h"
 #include "tensor/kernels/arena.h"
@@ -264,15 +266,19 @@ struct GemmShape {
 };
 
 /// The census shapes the models run, then ragged ones: n % kMr != 0,
-/// k = 1, and widths that do not fill whole vectors or tiles.
+/// k = 1, k = 0, depths over one kKc = 256 block, and widths that do not
+/// fill whole vectors or tiles.
 const GemmShape kGemmShapes[] = {
     {1200, 194, 24}, {6000, 24, 24}, {20000, 48, 24}, {200, 24, 24},
     {203, 37, 24},   {7, 1, 24},     {11, 29, 1},     {13, 29, 16},
-    {9, 45, 19},     {6, 3, 24},     {301, 70, 61},
+    {9, 45, 19},     {6, 3, 24},     {301, 70, 61},   {5, 0, 7},
+    {17, 300, 24},
 };
 
 /// Runs Gemm, GemmNT and GemmTN at one shape on the current path, each
-/// accumulating into a non-zero output, and returns the outputs' bits.
+/// accumulating into a non-zero output, and GemmOut into a write-only
+/// tensor (NaN-poisoned when the arena serves it under the check mode),
+/// which must equal Gemm into zeros. Returns all outputs' bits.
 std::vector<uint32_t> GemmFamilyBits(const GemmShape& s) {
   const std::vector<float> a = RandomVec(s.n * s.k, 31);
   const std::vector<float> b = RandomVec(s.k * s.m, 32);
@@ -283,8 +289,20 @@ std::vector<uint32_t> GemmFamilyBits(const GemmShape& s) {
   kernels::Gemm(a.data(), b.data(), c.data(), s.n, s.k, s.m);
   kernels::GemmNT(dc.data(), b.data(), da.data(), s.n, s.k, s.m);
   kernels::GemmTN(a.data(), dc.data(), db.data(), s.n, s.k, s.m);
+  std::vector<float> zeros(static_cast<size_t>(s.n * s.m), 0.0f);
+  kernels::Gemm(a.data(), b.data(), zeros.data(), s.n, s.k, s.m);
+  std::vector<float> out;
+  {
+    kernels::TapeScope scope;
+    Tensor t = kernels::NewWriteOnlyTensor({s.n, s.m});
+    kernels::GemmOut(a.data(), b.data(), t.data(), s.n, s.k, s.m);
+    out.assign(t.data(), t.data() + t.size());
+  }
+  EXPECT_EQ(BitsOf(out), BitsOf(zeros))
+      << "GemmOut vs Gemm into zeros at " << s.n << "x" << s.k << "x" << s.m;
   c.insert(c.end(), da.begin(), da.end());
   c.insert(c.end(), db.begin(), db.end());
+  c.insert(c.end(), out.begin(), out.end());
   return BitsOf(c);
 }
 
@@ -311,25 +329,31 @@ std::vector<uint32_t> SignedZeroBits() {
   return BitsOf(c);
 }
 
-/// Every shape on `path`, at 1 and 8 threads, against the scalar path at
-/// one thread.
+/// Every shape on `path`, at 1 and 8 threads, with GemmOut writing into
+/// arena (NaN-poisoned) and heap (zeroed) storage, against the scalar path
+/// at one thread on the heap.
 void ExpectGemmPathMatchesScalar(kernels::GemmPath path) {
+  tensor::debug_check::SetEnabledForTest(true);
   std::vector<std::vector<uint32_t>> scalar_bits;
   runtime::ThreadPool::Global().SetNumThreads(1);
+  kernels::SetArenaEnabledForTest(0);
   ASSERT_TRUE(kernels::SetGemmPathForTest(kernels::GemmPath::kScalar));
   for (const GemmShape& s : kGemmShapes) scalar_bits.push_back(GemmFamilyBits(s));
   const std::vector<uint32_t> scalar_zero_bits = SignedZeroBits();
 
   ASSERT_TRUE(kernels::SetGemmPathForTest(path));
-  for (const int threads : {1, 8}) {
-    runtime::ThreadPool::Global().SetNumThreads(threads);
-    for (size_t i = 0; i < std::size(kGemmShapes); ++i) {
-      const GemmShape& s = kGemmShapes[i];
-      EXPECT_EQ(GemmFamilyBits(s), scalar_bits[i])
-          << s.n << "x" << s.k << "x" << s.m << " at " << threads
-          << " threads";
+  for (const int arena : {0, 1}) {
+    kernels::SetArenaEnabledForTest(arena);
+    for (const int threads : {1, 8}) {
+      runtime::ThreadPool::Global().SetNumThreads(threads);
+      for (size_t i = 0; i < std::size(kGemmShapes); ++i) {
+        const GemmShape& s = kGemmShapes[i];
+        EXPECT_EQ(GemmFamilyBits(s), scalar_bits[i])
+            << s.n << "x" << s.k << "x" << s.m << " at " << threads
+            << " threads, arena " << arena;
+      }
+      EXPECT_EQ(SignedZeroBits(), scalar_zero_bits) << threads << " threads";
     }
-    EXPECT_EQ(SignedZeroBits(), scalar_zero_bits) << threads << " threads";
   }
 }
 
@@ -402,6 +426,111 @@ TEST_F(KernelsTest, RewindPoisonsFreedSpanUnderCheck) {
   // stale (or silently recycled) payload.
   for (int i = 0; i < 32; ++i) {
     EXPECT_TRUE(std::isnan(span[i])) << "offset " << i;
+  }
+}
+
+TEST_F(KernelsTest, WriteOnlyTensorIsPoisonedUnderCheckAndZeroedOnHeap) {
+  kernels::SetArenaEnabledForTest(1);
+  tensor::debug_check::SetEnabledForTest(true);
+  {
+    kernels::TapeScope scope;
+    // Dirty the span the next allocation reuses, so a missing poison
+    // would show the previous payload rather than NaN by chance.
+    {
+      kernels::TapeScope inner;
+      Tensor used = kernels::NewTensor({64});
+      used.Fill(2.0f);
+    }
+    Tensor t = kernels::NewWriteOnlyTensor({8, 8});
+    ASSERT_TRUE(t.arena_backed());
+    for (int64_t i = 0; i < t.size(); ++i) {
+      EXPECT_TRUE(std::isnan(t.at(i))) << "offset " << i;
+    }
+    Tensor zeroed = kernels::NewTensor({8, 8});
+    for (int64_t i = 0; i < zeroed.size(); ++i) {
+      EXPECT_EQ(BitsOf(zeroed.at(i)), BitsOf(0.0f)) << "offset " << i;
+    }
+  }
+  // BENCHTEMP_ARENA=0 (and no open scope): the heap fallback is zeroed.
+  Tensor outside = kernels::NewWriteOnlyTensor({4});
+  EXPECT_FALSE(outside.arena_backed());
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(BitsOf(outside.at(i)), BitsOf(0.0f));
+  kernels::SetArenaEnabledForTest(0);
+  kernels::TapeScope scope;
+  Tensor heap = kernels::NewWriteOnlyTensor({4});
+  EXPECT_FALSE(heap.arena_backed());
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(BitsOf(heap.at(i)), BitsOf(0.0f));
+}
+
+/// Every op whose output comes from NewWriteOnlyTensor, on random inputs
+/// under the check mode: an element the op failed to write would still
+/// hold the allocation's NaN poison.
+TEST_F(KernelsTest, WriteOnlyOpOutputsAreFullyWritten) {
+  using namespace tensor;  // NOLINT: the op names read as a list here
+  kernels::SetArenaEnabledForTest(1);
+  debug_check::SetEnabledForTest(true);
+  expr::SetFusionEnabledForTest(1);
+  Rng rng(17);
+  kernels::TapeScope scope;
+  const Var a = Parameter(Tensor::Randn({6, 5}, rng));
+  const Var b = Parameter(Tensor::Randn({6, 5}, rng));
+  const Var row = Parameter(Tensor::Randn({1, 5}, rng));
+  const Var col = Parameter(Tensor::Randn({6, 1}, rng));
+  const Var w = Parameter(Tensor::Randn({5, 3}, rng));
+  const Var keys = Parameter(Tensor::Randn({18, 5}, rng));
+  Tensor mask = Tensor::Ones({6, 5});
+  for (int64_t c = 0; c < 5; ++c) mask.at(2, c) = 0.0f;  // all-masked row
+  mask.at(4, 1) = 0.0f;
+  const Tensor targets = Tensor::Ones({6, 5});
+  const std::vector<std::pair<const char*, Var>> outputs = {
+      {"Add", Add(a, b)},
+      {"Add(row)", Add(a, row)},
+      {"Sub", Sub(a, b)},
+      {"Mul", Mul(a, b)},
+      {"Mul(row)", Mul(a, row)},
+      {"Mul(col)", Mul(a, col)},
+      {"ScalarMul", ScalarMul(a, 1.5f)},
+      {"ScalarAdd", ScalarAdd(a, -0.5f)},
+      {"MatMul", MatMul(a, w)},
+      {"MatMulAcc", MatMulAcc(MatMul(a, w), b, w)},
+      {"Transpose", Transpose(a)},
+      {"ConcatCols", ConcatCols({a, b, col})},
+      {"ConcatRows", ConcatRows({a, b, row})},
+      {"SliceCols", SliceCols(a, 1, 3)},
+      {"SliceRows", SliceRows(a, 2, 3)},
+      {"Reshape", Reshape(a, {5, 6})},
+      {"GatherRows", GatherRows(a, {5, 0, 0, 3})},
+      {"Sigmoid", Sigmoid(a)},
+      {"Tanh", Tanh(a)},
+      {"Relu", Relu(a)},
+      {"Exp", Exp(a)},
+      {"Cos", Cos(a)},
+      {"Sin", Sin(a)},
+      {"Sum", Sum(a)},
+      {"Mean", Mean(a)},
+      {"SoftmaxRows", SoftmaxRows(a)},
+      {"MaskedSoftmaxRows", MaskedSoftmaxRows(a, mask)},
+      {"BceWithLogits", BceWithLogits(a, targets)},
+      {"SoftmaxCrossEntropy", SoftmaxCrossEntropy(a, {0, 1, 2, 3, 4, 0})},
+      {"MseLoss", MseLoss(a, targets)},
+      {"BatchDot", BatchDot(a, keys, 3)},
+      {"Fuse", Var(expr::Sigmoid(
+                   expr::Add(expr::Tanh(expr::Ex(a)), expr::Ex(row))))},
+  };
+  for (const auto& [name, v] : outputs) {
+    ASSERT_TRUE(v->value.arena_backed()) << name;
+    for (int64_t i = 0; i < v->value.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(v->value.at(i))) << name << " at " << i;
+    }
+  }
+  // The fused node's checkpoint buffers are write-only too; its backward
+  // reads them.
+  const Var fused = outputs.back().second;
+  Backward(Sum(fused));
+  for (const Var& p : {a, row}) {
+    for (int64_t i = 0; i < p->grad.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(p->grad.at(i))) << "grad at " << i;
+    }
   }
 }
 

@@ -1,6 +1,9 @@
 #include "tensor/modules.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +101,28 @@ TEST(ModulesTest, MergeLayerShape) {
   Var out = merge.Forward(Constant(Tensor::Randn({3, 4}, rng)),
                           Constant(Tensor::Randn({3, 6}, rng)));
   EXPECT_EQ(out->value.shape(), (std::vector<int64_t>{3, 1}));
+}
+
+TEST(ModulesTest, MergeLayerFromSourcePartialIsBitIdentical) {
+  // Each source row scored against k candidate rows, as ranking does.
+  Rng rng(9);
+  const int64_t n = 7, k = 5;
+  MergeLayer merge(24, 24, 24, 1, rng);
+  Var src = Constant(Tensor::Randn({n, 24}, rng));
+  Var cand = Constant(Tensor::Randn({n * k, 24}, rng));
+  std::vector<int64_t> tile;
+  for (int64_t r = 0; r < n * k; ++r) tile.push_back(r / k);
+  const Tensor want = merge.Forward(GatherRows(src, tile), cand)->value;
+  const Tensor got =
+      merge.ForwardFromPartial(GatherRows(merge.SourcePartial(src), tile), cand)
+          ->value;
+  ASSERT_EQ(got.shape(), want.shape());
+  for (int64_t i = 0; i < want.size(); ++i) {
+    uint32_t w = 0, g = 0;
+    std::memcpy(&w, &want.data()[i], sizeof(w));
+    std::memcpy(&g, &got.data()[i], sizeof(g));
+    EXPECT_EQ(g, w) << "row " << i;
+  }
 }
 
 TEST(ModulesTest, AttentionShapeAndMasking) {

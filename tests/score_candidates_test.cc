@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,75 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ModelKind>& info) {
       return std::string(ModelKindName(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Factored MergeLayer scoring: ScoreCandidates finishes the predictor from
+// each source's first-layer partial (MergeLayer::ForwardFromPartial); its
+// logits must equal the unfactored MergeLayer::Forward over the tiled
+// [source | candidate] pairs bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Reads TgnnModel's protected predictor: naming the member through a
+/// derived class is what grants the access.
+struct PredictorAccess : TgnnModel {
+  static const tensor::MergeLayer* Of(const TgnnModel& model) {
+    return (model.*(&PredictorAccess::predictor_)).get();
+  }
+};
+
+TEST(ScoreCandidatesFactoredTest, LogitsEqualUnfactoredMergeLayerForward) {
+  const TemporalGraph g = MakeGraph();
+  const int64_t n = 20;
+  const int k = 7;
+  std::vector<std::string> merge_models;
+  for (const ModelKind kind : AllKinds()) {
+    // Two identically warmed-up models: one ranks through ScoreCandidates,
+    // the other replays the same embedding calls in the same order and
+    // runs the unfactored predictor.
+    std::unique_ptr<TgnnModel> models[2];
+    NeighborFinder finder(g);
+    const Batch batch = EventBatch(g, 100, n);
+    for (auto& model : models) {
+      model = CreateModel(kind, &g, SmallConfig(), 40);
+      model->SetNeighborFinder(&finder);
+      model->Reset();
+      model->set_training(false);
+      model->UpdateState(EventBatch(g, 0, 100));
+    }
+    const tensor::MergeLayer* predictor = PredictorAccess::Of(*models[1]);
+    if (predictor == nullptr) continue;
+    merge_models.push_back(ModelKindName(kind));
+    std::vector<int32_t> candidates;
+    std::vector<int64_t> tile;
+    std::vector<double> tiled_ts;
+    for (int64_t i = 0; i < n; ++i) {
+      for (int j = 0; j < k; ++j) {
+        const int64_t node = (i * 7 + j * 13 + 3) % g.num_nodes();
+        candidates.push_back(tensor::NarrowId(node, "candidate"));
+        tile.push_back(i);
+        tiled_ts.push_back(batch.ts[static_cast<size_t>(i)]);
+      }
+    }
+    tensor::kernels::TapeScope scope;
+    SetCandidateBlockRowsForTest(kOneBlock);
+    const Var got =
+        models[0]->ScoreCandidates(batch.srcs, candidates, batch.ts, k);
+    SetCandidateBlockRowsForTest(0);
+    const Var src_emb = models[1]->ComputeEmbeddings(batch.srcs, batch.ts);
+    const Var cand_emb = models[1]->ComputeEmbeddings(candidates, tiled_ts);
+    const Var want = predictor->Forward(GatherRows(src_emb, tile), cand_emb);
+    EXPECT_EQ(Bits(got), Bits(want)) << ModelKindName(kind);
+  }
+  // Every model that ranks through a MergeLayer was covered.
+  for (const ModelKind kind : {ModelKind::kJodie, ModelKind::kDyRep,
+                               ModelKind::kTgn, ModelKind::kTemp,
+                               ModelKind::kTgat}) {
+    EXPECT_NE(std::find(merge_models.begin(), merge_models.end(),
+                        ModelKindName(kind)),
+              merge_models.end())
+        << ModelKindName(kind);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // End to end: ranking metrics, AUC and the reported state bytes of a whole

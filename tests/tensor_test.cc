@@ -1,5 +1,11 @@
 #include "tensor/tensor.h"
 
+#include <cstdint>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tensor/random.h"
@@ -110,6 +116,114 @@ TEST(RngTest, NormalMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// The lazily-twisted engine against std::mt19937_64.
+// ---------------------------------------------------------------------------
+
+/// Draw counts around the lazy first generation's edges: none, one, the
+/// middle of the twist (kM = 156), the generation boundary (312), and into
+/// the second generation.
+const int kDrawCounts[] = {0, 1, 155, 156, 157, 311, 312, 313, 700};
+
+std::vector<uint64_t> EngineSeeds() {
+  std::vector<uint64_t> seeds = {0, 1, 5489, 7777, ~uint64_t{0}};
+  for (uint64_t i = 0; i < 27; ++i) seeds.push_back(SplitMix64(100, i));
+  return seeds;
+}
+
+std::string StdText(const std::mt19937_64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+TEST(RngEngineTest, RawStreamAndStateTextMatchStd) {
+  for (const uint64_t seed : EngineSeeds()) {
+    for (const int count : kDrawCounts) {
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < count; ++i) {
+        ASSERT_EQ(rng.engine()(), ref()) << "seed " << seed << " draw " << i;
+      }
+      const std::string text = rng.SaveState();
+      ASSERT_EQ(text, StdText(ref)) << "seed " << seed << " after " << count;
+      // Neither writing the state nor copying a pending first generation
+      // may disturb the stream.
+      Rng copy = rng;
+      for (int i = 0; i < 400; ++i) {
+        const uint64_t want = ref();
+        ASSERT_EQ(rng.engine()(), want) << "seed " << seed << " after "
+                                        << count << " + " << i;
+        ASSERT_EQ(copy.engine()(), want) << "copy, seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(RngEngineTest, StdStateTextLoadsAndContinuesTheStream) {
+  for (const uint64_t seed : EngineSeeds()) {
+    for (const int count : kDrawCounts) {
+      std::mt19937_64 ref(seed);
+      ref.discard(static_cast<unsigned long long>(count));
+      Rng rng(12345);
+      rng.engine()();  // a partial first generation gets overwritten
+      ASSERT_TRUE(rng.LoadState(StdText(ref)));
+      ASSERT_EQ(rng.SaveState(), StdText(ref));
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(rng.engine()(), ref()) << "seed " << seed << " after "
+                                         << count << " + " << i;
+      }
+    }
+  }
+  Rng rng(3);
+  EXPECT_FALSE(rng.LoadState("1 2 3"));
+}
+
+TEST(RngEngineTest, DistributionDrawsMatchStd) {
+  const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25, 0.25};
+  for (const uint64_t seed : EngineSeeds()) {
+    for (const int count : kDrawCounts) {
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < count; ++i) {
+        switch (i % 4) {
+          case 0: {
+            std::uniform_int_distribution<int64_t> dist(0, 1000002);
+            ASSERT_EQ(rng.UniformInt(1000003), dist(ref));
+            break;
+          }
+          case 1: {
+            std::uniform_real_distribution<float> dist(-1.0f, 2.0f);
+            ASSERT_EQ(rng.UniformReal(-1.0f, 2.0f), dist(ref));
+            break;
+          }
+          case 2: {
+            std::normal_distribution<float> dist(0.5f, 2.0f);
+            ASSERT_EQ(rng.Normal(0.5f, 2.0f), dist(ref));
+            break;
+          }
+          default: {
+            std::uniform_real_distribution<double> dist(0.0, 4.0);
+            double r = dist(ref);
+            int64_t want = static_cast<int64_t>(weights.size()) - 1;
+            for (size_t j = 0; j < weights.size(); ++j) {
+              r -= weights[j];
+              if (r <= 0.0) {
+                want = static_cast<int64_t>(j);
+                break;
+              }
+            }
+            ASSERT_EQ(rng.Categorical(weights), want);
+            break;
+          }
+        }
+      }
+      ASSERT_EQ(rng.SaveState(), StdText(ref))
+          << "seed " << seed << " after " << count;
+    }
+  }
 }
 
 }  // namespace
